@@ -22,10 +22,6 @@ class Overflow(EdoError):
     """A result exceeded the representable floating-point range."""
 
 
-class Singular(EdoError):
-    """A linear solve hit a pivot below the singularity threshold."""
-
-
 class EmptyCoefficients(EdoError):
     """A plant needs at least one characteristic coefficient."""
 

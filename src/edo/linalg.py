@@ -1,7 +1,6 @@
 """Dense real linear-algebra kernel used by every other module.
 
-Thin, contract-enforcing wrappers around LAPACK-backed routines plus a
-small pivoted-LU solver whose singularity threshold is explicit.  All
+Thin, contract-enforcing wrappers around LAPACK-backed routines.  All
 functions are pure and operate on plain ``numpy`` arrays.
 """
 
@@ -10,21 +9,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm as _expm_pade
 
-from .errors import IterationDivergence, NonSquare, Overflow, Singular
+from .errors import IterationDivergence, NonSquare, Overflow
 
 __all__ = [
     "eigenvalues",
     "is_hurwitz",
     "expm",
-    "solve_linear",
     "companion_from_last_row",
 ]
 
 #: Largest matrix dimension accepted by ``eigenvalues``.
 MAX_EIG_DIM = 64
-
-#: Relative pivot threshold below which ``solve_linear`` declares singularity.
-PIVOT_RTOL = 1e-13
 
 #: Default margin on the real axis for Hurwitz classification.
 HURWITZ_TOL = 1e-9
@@ -65,36 +60,6 @@ def expm(M) -> np.ndarray:
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential overflowed the double range")
     return E
-
-
-def solve_linear(M, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` by partially pivoted LU elimination.
-
-    Raises ``Singular`` as soon as a pivot falls below
-    ``PIVOT_RTOL * max|M|``; the backward-stable elimination keeps the
-    residual at the rounding level for any system it accepts.
-    """
-    M = _as_square(M)
-    b = np.asarray(rhs, dtype=float).copy()
-    n = M.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"rhs shape {b.shape} does not match matrix order {n}")
-    A = M.copy()
-    threshold = PIVOT_RTOL * np.abs(A).max() if n else 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if np.abs(A[p, k]) <= threshold:
-            raise Singular(f"pivot {A[p, k]:.3e} below threshold {threshold:.3e}")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k:] -= np.outer(factors, A[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
 
 
 def companion_from_last_row(row) -> np.ndarray:

@@ -112,8 +112,6 @@ class GeneralPlant:
 def canonical_plant(a) -> Plant:
     """Canonical plant with the input entering only the first state."""
     a = tuple(a)
-    if len(a) == 0:
-        raise EmptyCoefficients("plant needs at least one coefficient")
     return Plant(a=a, b=(1.0,) + (0.0,) * (len(a) - 1))
 
 
@@ -194,6 +192,4 @@ def controllability_canonical_transform(p: Plant) -> np.ndarray:
     if not _full_rank(K_src):
         raise NotControllable("controllability matrix is rank deficient")
     K_dst = controllability_matrix(p.A.T, p.C)
-    n = p.n
-    U = np.column_stack([linalg.solve_linear(K_src.T, K_dst.T[:, j]) for j in range(n)]).T
-    return U
+    return np.linalg.solve(K_src.T, K_dst.T).T

@@ -20,7 +20,7 @@ from . import linalg
 from .disturbance import Signal, evaluate
 from .errors import DimensionMismatch, EmptyTrajectory, NonFinite
 from .plant import Plant
-from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain
+from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain, _drift, _power_schedule
 
 __all__ = [
     "SimConfig",
@@ -109,7 +109,6 @@ def simulate(
 
     N = cfg.steps
     dt = cfg.dt
-    dim = n + obs.dim
     times = np.arange(N + 1) * dt
 
     # drift with control folded in; measurement coupling kept separate
@@ -118,12 +117,8 @@ def simulate(
         F_aug = np.concatenate([fb.F, -rs.Q])
     else:
         F_aug = np.zeros(obs.dim)
-    M0 = np.zeros((dim, dim))
-    M0[:n, :n] = p.A
-    M0[:n, n:] = np.outer(p.B, F_aug)
-    M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
+    M0, col_d = _drift(p, obs, F_aug)
     col_y = np.concatenate([np.zeros(n), obs.L_y])
-    col_d = np.concatenate([p.B, np.zeros(obs.dim)])
 
     half_times = np.arange(2 * N + 1) * (dt / 2.0)
     d_half = np.asarray(evaluate(d, half_times), dtype=float)
@@ -137,11 +132,12 @@ def simulate(
         noise = np.zeros(N + 1)
 
     meas_idx = n - 1  # C picks the last plant state
-    Z = np.empty((N + 1, dim))
+    Z = np.empty((N + 1, n + obs.dim))
     z = np.concatenate([x0, z_obs0])
     rk4 = cfg.integrator == "rk4"
     for k in range(N + 1):
-        if np.abs(z).max() > DIVERGENCE_GUARD:
+        # written so that a NaN state trips the guard too
+        if not (np.abs(z).max() <= DIVERGENCE_GUARD):
             raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k]:.6g}")
         Z[k] = z
         if k == N:
@@ -233,13 +229,11 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     if len(base.k) != p.n:
         raise DimensionMismatch(f"base length {len(base.k)} does not match plant order {p.n}")
     t_grid = np.asarray(t_grid, dtype=float)
-    n = p.n
     table = []
     for w in omegas:
-        K_w = np.array([base.k[j] * w ** (n - j) - p.a[j] for j in range(n)])
-        A_w = p.A + np.outer(K_w, p.C)
+        A_w = p.A + np.outer(_power_schedule(base.k, w, p.a), p.C)
         # exp(w t) commutes into the exponential, avoiding tiny*huge overflow
-        shifted = A_w + w * np.eye(n)
+        shifted = A_w + w * np.eye(p.n)
         vals = [np.linalg.norm(linalg.expm(shifted * t) @ p.B) for t in t_grid]
         table.append((w, float(max(vals))))
     return table

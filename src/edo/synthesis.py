@@ -100,12 +100,16 @@ def schedule_gains(p: Plant, exo: Exosystem, base: GainBase, omega_o: float) -> 
     if omega_o <= 0.0:
         raise ValueError("omega_o must be positive")
     w = float(omega_o)
-    K = np.array([base.k[j] * w ** (n - j) - p.a[j] for j in range(n)])
-    P = np.empty(mp1)
-    P[0] = base.p[0] * w ** mp1
-    for j in range(1, mp1):
-        P[j] = base.p[j] * w ** (mp1 - j) - exo.g[j - 1]
+    K = _power_schedule(base.k, w, p.a)
+    P = _power_schedule(base.p, w, (0.0,) + exo.g)
     return ScheduledGains(omega_o=w, K_omega=K, P_omega=P)
+
+
+def _power_schedule(base, w: float, shift) -> np.ndarray:
+    """Gain ``base_j w^(s-j) - shift_j``, s = len(base); added to the coefficients
+    ``shift`` it gives the companion of ``base`` with its spectrum times ``w``."""
+    s = len(base)
+    return np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,22 +250,32 @@ class ObserverRealization:
     def v_dim(self) -> int:
         return self.dim - self.n
 
-    @property
-    def extract_x(self) -> np.ndarray:
-        return np.hstack([np.eye(self.n), np.zeros((self.n, self.v_dim))])
 
-    @property
-    def extract_v(self) -> np.ndarray:
-        return np.hstack([np.zeros((self.v_dim, self.n)), np.eye(self.v_dim)])
+def _realization(p, G, F1, F2, Q) -> ObserverRealization:
+    """Observer with injection ``F1`` on the state block and ``F2`` on the carrier.
+
+    Blockwise: the state-estimate drift is ``A + F1 C`` with ``B Q``
+    coupling into the carrier estimate; the carrier drift is G with
+    ``-F2 C`` coupling; the measurement enters through ``-F1`` and ``F2``.
+    """
+    n, d = p.n, G.shape[0]
+    A_hat = np.zeros((n + d, n + d))
+    A_hat[:n, :n] = p.A + np.outer(F1, p.C)
+    A_hat[:n, n:] = np.outer(p.B, Q)
+    A_hat[n:, :n] = -np.outer(F2, p.C)
+    A_hat[n:, n:] = G
+    L_y = np.concatenate([-F1, F2])
+    B_u = np.concatenate([p.B, np.zeros(d)])
+    d_hat_row = np.concatenate([np.zeros(n), Q])
+    return ObserverRealization(n=n, A_hat=A_hat, L_y=L_y, B_u=B_u, d_hat_row=d_hat_row)
 
 
 def assemble_edo(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolution) -> ObserverRealization:
     """Assemble the extended-dynamics observer realization.
 
-    Blockwise: the state-estimate drift is ``A + (K_omega + S E) C`` with
-    ``B Q`` coupling into the carrier estimate; the carrier drift is G
-    with ``-E C`` coupling; the measurement enters through
-    ``-(K_omega + S E)`` and ``E``.
+    This is the known-dynamics observer with ``F0 = K_omega``, ``F2 = E``
+    and ``P_row = P_omega``: the state block is injected with
+    ``K_omega + S E`` and the carrier block with ``E``.
     """
     _check_dims(p, exo, sg)
     if rs.S.shape != (p.n, exo.dim) or rs.Q.shape != (exo.dim,):
@@ -269,17 +283,7 @@ def assemble_edo(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolu
             f"regulator solution sized {rs.S.shape} does not fit plant order {p.n} "
             f"and exosystem dimension {exo.dim}"
         )
-    n, d = p.n, exo.dim
-    KSE = sg.K_omega + rs.S @ exo.E
-    A_hat = np.zeros((n + d, n + d))
-    A_hat[:n, :n] = p.A + np.outer(KSE, p.C)
-    A_hat[:n, n:] = np.outer(p.B, rs.Q)
-    A_hat[n:, :n] = -np.outer(exo.E, p.C)
-    A_hat[n:, n:] = exo.G
-    L_y = np.concatenate([-KSE, exo.E])
-    B_u = np.concatenate([p.B, np.zeros(d)])
-    d_hat_row = np.concatenate([np.zeros(n), rs.Q])
-    return ObserverRealization(n=n, A_hat=A_hat, L_y=L_y, B_u=B_u, d_hat_row=d_hat_row)
+    return _realization(p, exo.G, sg.K_omega + rs.S @ exo.E, exo.E, rs.Q)
 
 
 def assemble_known_dynamics_observer(
@@ -318,16 +322,7 @@ def assemble_known_dynamics_observer(
     if not linalg.is_hurwitz(G + np.outer(F2, P_row)):
         raise NonHurwitz("G + F2 P_row is not Hurwitz")
     S, Q = _solve_constrained_sylvester(A_F0, G, p_general.B, p_general.C, P_row)
-    F1 = F0 + S @ F2
-    A_hat = np.zeros((n + m, n + m))
-    A_hat[:n, :n] = p_general.A + np.outer(F1, p_general.C)
-    A_hat[:n, n:] = np.outer(p_general.B, Q)
-    A_hat[n:, :n] = -np.outer(F2, p_general.C)
-    A_hat[n:, n:] = G
-    L_y = np.concatenate([-F1, F2])
-    B_u = np.concatenate([p_general.B, np.zeros(m)])
-    d_hat_row = np.concatenate([np.zeros(n), Q])
-    return ObserverRealization(n=n, A_hat=A_hat, L_y=L_y, B_u=B_u, d_hat_row=d_hat_row)
+    return _realization(p_general, G, F0 + S @ F2, F2, Q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,9 +351,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
         raise ValueError("omega_c must be positive")
     U = controllability_canonical_transform(p)
     w = float(omega_c)
-    n = p.n
-    K_c = np.array([k_ctrl[j] * w ** (n - j) - p.a[j] for j in range(n)])
-    F = K_c @ U
+    F = _power_schedule(k_ctrl, w, p.a) @ U
     return StabilizerGain(omega_c=w, F=F, U=U)
 
 
@@ -373,15 +366,21 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     n = p.n
     if obs.n != n or fb.F.shape != (n,) or rs.Q.shape != (obs.v_dim,):
         raise DimensionMismatch("plant, observer, feedback, and regulator sizes disagree")
-    F_aug = np.concatenate([fb.F, -rs.Q])
+    M, dist_col = _drift(p, obs, np.concatenate([fb.F, -rs.Q]))
+    M[n:, :n] = np.outer(obs.L_y, p.C)
+    return M, dist_col
+
+
+def _drift(p: Plant, obs: ObserverRealization, F_aug):
+    """Plant-plus-observer drift with ``u = F_aug z_obs`` folded in, and the
+    disturbance column; the measurement block is left zero for the caller."""
+    n = p.n
     dim = n + obs.dim
     M = np.zeros((dim, dim))
     M[:n, :n] = p.A
     M[:n, n:] = np.outer(p.B, F_aug)
     M[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
-    M[n:, :n] = np.outer(obs.L_y, p.C)
-    dist_col = np.concatenate([p.B, np.zeros(obs.dim)])
-    return M, dist_col
+    return M, np.concatenate([p.B, np.zeros(obs.dim)])
 
 
 def error_system(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolution):
@@ -391,15 +390,6 @@ def error_system(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolu
     observer does; the forcing column is the zero eigenvector of G scaled
     by ``1 / (Q B_d)``.
     """
-    _check_dims(p, exo, sg)
-    n, d = p.n, exo.dim
-    if rs.S.shape != (n, d) or rs.Q.shape != (d,):
-        raise DimensionMismatch("regulator solution does not fit the plant/exosystem pair")
-    KSE = sg.K_omega + rs.S @ exo.E
-    A_err = np.zeros((n + d, n + d))
-    A_err[:n, :n] = p.A + np.outer(KSE, p.C)
-    A_err[:n, n:] = np.outer(p.B, rs.Q)
-    A_err[n:, :n] = -np.outer(exo.E, p.C)
-    A_err[n:, n:] = exo.G
-    B_err = np.concatenate([np.zeros(n), exo.B_d]) / float(rs.Q @ exo.B_d)
+    A_err = assemble_edo(p, exo, sg, rs).A_hat
+    B_err = np.concatenate([np.zeros(p.n), exo.B_d]) / float(rs.Q @ exo.B_d)
     return A_err, B_err

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edo import cli
+from edo.errors import ConfigError
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -155,6 +156,26 @@ class TestSimulateCommand:
         out_direct = tmp_path / "direct.csv"
         cli.main(["simulate", "--config", write_config(tmp_path, cfg, "cfg2.json"), "--out", str(out_direct)])
         assert out_env.read_bytes() == out_direct.read_bytes()
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "minus_inf", "float_overflow", "int_overflow"],
+    )
+    def test_non_finite_number_exits_2_without_output(self, tmp_path, capsys, literal):
+        text = json.dumps(base_config()).replace('"value": 10.0', f'"value": {literal}')
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_number_in_dict_config_rejected(self):
+        cfg = base_config()
+        cfg["gains"]["omega_o"] = float("nan")
+        with pytest.raises(ConfigError, match="finite"):
+            cli.parse_config(cfg)
 
     def test_invalid_seed_env_exits_2(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, base_config())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edo import linalg
-from edo.errors import NonSquare, Overflow, Singular
+from edo.errors import NonSquare, Overflow
 
 
 def durand_kerner(coeffs, iters=200):
@@ -119,34 +119,3 @@ class TestExpm:
         with pytest.raises(Overflow), np.errstate(over="ignore"):
             linalg.expm(np.array([[1e4]]))
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        r = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(linalg.solve_linear(np.eye(3), r), r)
-
-    def test_diagonal(self):
-        x = linalg.solve_linear(np.diag([2.0, 4.0]), [2.0, 8.0])
-        assert np.allclose(x, [1.0, 2.0], rtol=1e-15)
-
-    def test_residual_bound(self, rng):
-        for _ in range(20):
-            M = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-            rhs = rng.standard_normal(5)
-            x = linalg.solve_linear(M, rhs)
-            resid = np.linalg.norm(M @ x - rhs)
-            bound = 1e-10 * (np.linalg.norm(M) * np.linalg.norm(x) + np.linalg.norm(rhs))
-            assert resid <= bound
-
-    def test_singular_detected(self):
-        M = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(Singular):
-            linalg.solve_linear(M, [1.0, 1.0])
-
-    def test_zero_matrix_singular(self):
-        with pytest.raises(Singular):
-            linalg.solve_linear(np.zeros((2, 2)), [1.0, 0.0])
-
-    def test_non_square(self):
-        with pytest.raises(NonSquare):
-            linalg.solve_linear(np.zeros((2, 3)), [1.0, 1.0])

@@ -120,12 +120,17 @@ class TestCanonicalTransform:
         assert np.allclose(U, [[1.0]])
 
     def test_defining_identities(self, rng):
+        # canonical plants (b = e1) give an identity Krylov basis; a general
+        # b with b[0] != 0 exercises the solve with a full basis
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            p = canonical_plant(rng.uniform(-2, 2, n))
-            U = controllability_canonical_transform(p)
-            assert np.abs(U @ p.A @ np.linalg.inv(U) - p.A.T).max() < 1e-10
-            assert np.abs(U @ p.B - p.C).max() < 1e-10
+            a = rng.uniform(-2, 2, n)
+            b = rng.uniform(-2, 2, n)
+            b[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            for p in (canonical_plant(a), Plant(a=a, b=b)):
+                U = controllability_canonical_transform(p)
+                assert np.abs(U @ p.A @ np.linalg.inv(U) - p.A.T).max() < 1e-10
+                assert np.abs(U @ p.B - p.C).max() < 1e-10
 
     def test_uncontrollable_rejected(self):
         p = Plant(a=(0.0, 0.0), b=(0.0, 1.0))

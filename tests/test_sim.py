@@ -72,6 +72,12 @@ class TestSimulateBasics:
         with pytest.raises(NonFinite):
             simulate(p, obs, None, rs, Constant(0.0), cfg, [1.0, 0.0], np.zeros(3))
 
+    def test_divergence_guard_catches_nan(self):
+        p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        cfg = SimConfig(t_end=0.1, dt=1e-3)
+        with pytest.raises(NonFinite, match=r"at t=0$"):
+            simulate(p, obs, fb, rs, Constant(0.0), cfg, [np.nan, 0.0], np.zeros(3))
+
     def test_determinism_bytes(self):
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
         cfg = SimConfig(t_end=0.5, dt=1e-3, noise_std=0.01, seed=42)

@@ -25,6 +25,7 @@ from edo.errors import (
     NotObservablePair,
     SpectraOverlap,
 )
+from edo import cli
 from edo.linalg import eigenvalues
 from edo.plant import observability_matrix
 from edo.synthesis import (
@@ -253,6 +254,31 @@ class TestKnownDynamicsObserver:
         gp = GeneralPlant(p.A, p.B, p.C)
         with pytest.raises(NonHurwitz):
             assemble_known_dynamics_observer(gp, [[0.0]], [1.0], [-4.0, -4.0], [1.0])
+
+
+def scenario_design(name):
+    return cli.build_design(cli.parse_config(cli.SCENARIOS[name]))
+
+
+class TestSharedRealization:
+    """The EDO is the known-dynamics observer with F0 = K_omega, F2 = E and
+    P_row = P_omega, and its error matrix is the observer drift itself."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_edo_is_known_dynamics_observer(self, name):
+        d = scenario_design(name)
+        p, exo, sg = d.plant, d.exo, d.gains
+        known = assemble_known_dynamics_observer(p, exo.G, sg.P_omega, sg.K_omega, exo.E)
+        edo = assemble_edo(p, exo, sg, d.regulator)
+        assert known.n == edo.n
+        for field in ("A_hat", "L_y", "B_u", "d_hat_row"):
+            assert np.array_equal(getattr(known, field), getattr(edo, field)), field
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_error_matrix_is_observer_drift(self, name):
+        d = scenario_design(name)
+        A_err, _ = error_system(d.plant, d.exo, d.gains, d.regulator)
+        assert np.array_equal(A_err, assemble_edo(d.plant, d.exo, d.gains, d.regulator).A_hat)
 
 
 class TestStabilizer:
