@@ -130,7 +130,7 @@ class RunConfig:
     disturbance: Signal
     sim: SimConfig
     x0: np.ndarray
-    observer0: np.ndarray  # may be empty sentinel for "zero"
+    observer0: np.ndarray  # "zero" in the config is stored as a zero array
 
 
 def load_config(path) -> RunConfig:
@@ -308,10 +308,10 @@ def design_report(design: Design) -> dict:
     }
 
 
-def run_config(cfg: RunConfig):
-    """Design and simulate one configuration; returns (design, trajectory)."""
+def run_config(cfg: RunConfig) -> Trajectory:
+    """Design and simulate one configuration; returns the trajectory."""
     design = build_design(cfg)
-    tr = simulate(
+    return simulate(
         cfg.plant,
         design.observer,
         design.stabilizer,
@@ -321,16 +321,10 @@ def run_config(cfg: RunConfig):
         cfg.x0,
         cfg.observer0,
     )
-    return design, tr
 
 
 # ---------------------------------------------------------------------------
 # file emission
-
-
-def _fmt(value: float) -> str:
-    # shortest digit string that round-trips the double
-    return repr(float(value))
 
 
 def write_csv(path, tr: Trajectory) -> None:
@@ -343,17 +337,12 @@ def write_csv(path, tr: Trajectory) -> None:
         + [f"vhat{i + 1}" for i in range(v_dim)]
         + ["d", "dhat", "u", "y"]
     )
+    table = np.column_stack([tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(tr.times.size):
-            row = (
-                [tr.times[i]]
-                + list(tr.x[i])
-                + list(tr.x_hat[i])
-                + list(tr.v_hat[i])
-                + [tr.d[i], tr.d_hat[i], tr.u[i], tr.y[i]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in table:
+            # repr is the shortest digit string that round-trips the double
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
@@ -474,13 +463,17 @@ def cmd_design(config_path, out_path) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
-    cfg = load_config(config_path)
-    _, tr = run_config(cfg)
+def _run_and_emit(cfg: RunConfig, out_csv, out_svg):
+    """Simulate, write the CSV (and the SVG if asked for), and score the run."""
+    tr = run_config(cfg)
     write_csv(out_csv, tr)
     if out_svg is not None:
         write_svg(out_svg, tr)
-    m = metrics(tr, cfg.disturbance, TAIL_FRACTION)
+    return metrics(tr, TAIL_FRACTION)
+
+
+def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
+    m = _run_and_emit(load_config(config_path), out_csv, out_svg)
     print(
         f"tail [{m.tail_window[0]:.6g}, {m.tail_window[1]:.6g}]: "
         f"max |d-dhat| = {m.tail_max_dist_err:.6g}, max ||x-xhat|| = {m.tail_max_state_err:.6g}"
@@ -492,11 +485,8 @@ def cmd_scenario(name, out_dir) -> int:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     os.makedirs(out_dir, exist_ok=True)
-    cfg = parse_config(SCENARIOS[name])
-    design, tr = run_config(cfg)
-    write_csv(os.path.join(out_dir, f"{name}.csv"), tr)
-    write_svg(os.path.join(out_dir, f"{name}.svg"), tr)
-    m = metrics(tr, cfg.disturbance, TAIL_FRACTION)
+    stem = os.path.join(out_dir, name)
+    m = _run_and_emit(parse_config(SCENARIOS[name]), stem + ".csv", stem + ".svg")
     payload = {
         "scenario": name,
         "tail_window": [m.tail_window[0], m.tail_window[1]],
@@ -504,8 +494,7 @@ def cmd_scenario(name, out_dir) -> int:
         "tail_max_state_err": m.tail_max_state_err,
         "peak_abs": m.peak_abs,
     }
-    metrics_path = os.path.join(out_dir, f"{name}_metrics.json")
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
+    with open(stem + "_metrics.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"{name}: tail_max_dist_err={m.tail_max_dist_err:.6g} tail_max_state_err={m.tail_max_state_err:.6g}")
@@ -514,7 +503,7 @@ def cmd_scenario(name, out_dir) -> int:
 
 def cmd_probe(omega_list) -> int:
     try:
-        omegas = [float(tok) for tok in omega_list.split(",") if tok.strip() != ""]
+        omegas = [_number(float(tok), "--omega") for tok in omega_list.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--omega expects a comma-separated number list, got {omega_list!r}") from None
     if not omegas or any(w <= 0.0 for w in omegas):

@@ -18,9 +18,6 @@ __all__ = [
     "companion_from_last_row",
 ]
 
-#: Largest matrix dimension accepted by ``eigenvalues``.
-MAX_EIG_DIM = 64
-
 #: Default margin on the real axis for Hurwitz classification.
 HURWITZ_TOL = 1e-9
 
@@ -39,8 +36,6 @@ def eigenvalues(M) -> np.ndarray:
     downstream output is deterministic.
     """
     M = _as_square(M)
-    if M.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {M.shape[0]} exceeds limit {MAX_EIG_DIM}")
     try:
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

@@ -29,10 +29,11 @@ from .errors import (
     NonHurwitzBase,
     NotDiagonalizable,
     NotObservablePair,
+    Overflow,
     SingularSystem,
     SpectraOverlap,
 )
-from .plant import GeneralPlant, Plant, controllability_canonical_transform, observability_matrix
+from .plant import GeneralPlant, Plant, _full_rank, controllability_canonical_transform, observability_matrix
 
 __all__ = [
     "GainBase",
@@ -109,7 +110,13 @@ def _power_schedule(base, w: float, shift) -> np.ndarray:
     """Gain ``base_j w^(s-j) - shift_j``, s = len(base); added to the coefficients
     ``shift`` it gives the companion of ``base`` with its spectrum times ``w``."""
     s = len(base)
-    return np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
+    try:
+        gains = np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
+    except OverflowError:  # a Python-float power beyond the double range
+        gains = np.array([np.inf])
+    if not np.all(np.isfinite(gains)):
+        raise Overflow(f"bandwidth {w:g} overflows the gain schedule")
+    return gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +320,7 @@ def assemble_known_dynamics_observer(
     eig_G = linalg.eigenvalues(G)
     if min(abs(a - b) for a in eig_closed for b in eig_G) < 1e-9:
         raise SpectraOverlap("spectrum of A + F0 C meets the disturbance dynamics spectrum")
-    obs = observability_matrix(G, P_row)
-    sv = np.linalg.svd(obs, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-9 * sv[0]:
+    if not _full_rank(observability_matrix(G, P_row)):
         raise NotObservablePair("(G, P_row) is not observable")
     if not linalg.is_hurwitz(A_F0):
         raise NonHurwitz("A + F0 C is not Hurwitz")

@@ -127,8 +127,8 @@ def test_criterion_2_bandwidth_scaling():
         cfg_dict = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
         cfg_dict["gains"]["omega_o"] = omega_o
         cfg = cli.parse_config(cfg_dict)
-        _, tr = cli.run_config(cfg)
-        tails[omega_o] = metrics(tr, cfg.disturbance, cli.TAIL_FRACTION).tail_max_dist_err
+        tr = cli.run_config(cfg)
+        tails[omega_o] = metrics(tr, cli.TAIL_FRACTION).tail_max_dist_err
     ratio = tails[high] / tails[low]
     ok = 0.3 <= ratio <= 0.7
     report(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,32 @@ class TestDesignCommand:
         assert rc == 3
         assert "NonHurwitzBase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "omega_o, k",
+        [(1e200, [-1.0, -2.0]), (1e154, [-2.0, -3.0])],
+        ids=["power_overflows", "product_overflows"],  # omega^2 beyond the range, or finite but -2 omega^2 not
+    )
+    def test_overflowing_bandwidth_exits_3(self, tmp_path, capsys, omega_o, k):
+        cfg = base_config()
+        cfg["gains"].update(omega_o=omega_o, k=k)
+        rc = cli.main(["design", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "synthesis error (Overflow)" in err and "Traceback" not in err
+
+    def test_high_order_plant_designs(self, tmp_path):
+        # integrator chain of order 33 with every base root at -1: the
+        # closed loop has 33 + 33 + 1 = 67 states
+        n = 33
+        k = [-float(math.comb(n, j)) for j in range(n)]  # (s+1)^33 = s^33 - k_33 s^32 - ... - k_1
+        cfg = base_config()
+        cfg["plant"]["a"] = [0.0] * n
+        cfg["gains"].update(omega_o=1.0, omega_c=1.0, k=k)
+        cfg["initial"]["x0"] = [0.0] * n
+        out = tmp_path / "report.json"
+        assert cli.main(["design", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["spectra"]["closed_loop"]) == 67
+
     def test_left_half_plane_spectrum_exits_3(self, tmp_path, capsys):
         cfg = base_config()
         cfg["exosystem"]["spectrum"] = [[-1.0, 0.0]]
@@ -193,7 +220,14 @@ class TestScenarioAndProbe:
         assert "3.7590367" in out  # counterexample norm at omega = 10
 
     def test_probe_rejects_nonpositive(self):
-        assert cli.main(["probe", "--omega", "10,0"]) == 2
+        # NaN passes a plain "<= 0" test, so it must be refused as non-finite
+        for omega in ("10,0", "nan", "inf", "10,-inf"):
+            assert cli.main(["probe", "--omega", omega]) == 2, omega
+
+    def test_probe_overflowing_bandwidth_exits_3(self, capsys):
+        assert cli.main(["probe", "--omega", "1e200"]) == 3
+        err = capsys.readouterr().err
+        assert "synthesis error (Overflow)" in err and "Traceback" not in err
 
     def test_probe_rejects_garbage(self):
         assert cli.main(["probe", "--omega", "ten"]) == 2

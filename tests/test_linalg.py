@@ -46,10 +46,6 @@ class TestEigenvalues:
         with pytest.raises(NonSquare):
             linalg.eigenvalues(np.zeros((2, 3)))
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            linalg.eigenvalues(np.eye(65))
-
     def test_companion_matches_root_finder(self, rng):
         for _ in range(40):
             deg = int(rng.integers(1, 7))

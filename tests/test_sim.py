@@ -101,7 +101,7 @@ class TestMetrics:
         x0 = np.array([0.1, 0.2])
         v0 = carrier_initial_state(Constant(10.0), exo, rs.Q)
         tr = simulate(p, obs, fb, rs, Constant(10.0), SimConfig(4.0, 1e-3), x0, np.concatenate([x0, v0]))
-        m = metrics(tr, Constant(10.0), 0.2)
+        m = metrics(tr, 0.2)
         assert m.tail_max_state_err < 1e-9
         assert m.tail_max_dist_err < 1e-9
 
@@ -113,7 +113,7 @@ class TestMetrics:
             times=tr.times, x=tr.x, x_hat=tr.x, v_hat=tr.v_hat,
             d=tr.d, d_hat=np.zeros_like(tr.d_hat), u=tr.u, y=tr.y,
         )
-        m = metrics(fake, Constant(10.0), 0.2)
+        m = metrics(fake, 0.2)
         assert m.tail_max_dist_err == 10.0
         assert m.tail_max_state_err == 0.0
 
@@ -125,7 +125,7 @@ class TestMetrics:
             d=tr.d[:0], d_hat=tr.d_hat[:0], u=tr.u[:0], y=tr.y[:0],
         )
         with pytest.raises(EmptyTrajectory):
-            metrics(empty, Constant(0.0), 0.2)
+            metrics(empty, 0.2)
 
 
 class TestSteadyStateAgainstFrequencyOracle:
@@ -143,7 +143,7 @@ class TestSteadyStateAgainstFrequencyOracle:
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), omega_o, omega_c=10.0)
         cfg = SimConfig(t_end=10.0, dt=1e-3, output_ramp=True)
         tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, [0.0, 1.0], np.zeros(3))
-        m = metrics(tr, SINE_PLUS_TEN, 0.2)
+        m = metrics(tr, 0.2)
         oracle = steady_dist_err_amplitude(p, exo, sg, rs, 10.0, 10.0)
         return m.tail_max_dist_err, oracle
 
@@ -167,7 +167,7 @@ class TestExactModelBehaviour:
         init_err = float(np.linalg.norm(np.concatenate([x0, v0])))
         t_end = 40.0 / sg.omega_o
         tr = simulate(p, obs, fb, rs, d, SimConfig(t_end, 1e-3), x0, np.zeros(3))
-        m = metrics(tr, d, 0.2)
+        m = metrics(tr, 0.2)
         assert m.tail_max_state_err < 1e-6 * init_err
         assert m.tail_max_dist_err < 1e-6 * init_err
 
@@ -237,6 +237,77 @@ class TestIntegratorOrder:
         dev1 = np.abs(e1.x[:, 0] - ref.x[::4, 0]).max()
         dev2 = np.abs(e2.x[:, 0] - ref.x[::2, 0]).max()
         assert 0.4 <= dev2 / dev1 <= 0.6
+
+
+def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
+    """Plain per-step integration of the closed loop, written from the model.
+
+    Plant ``x' = A x + B (u + d)``, observer ``z' = A_hat z + L_y y + B_u u``,
+    control ``u = F x_hat - Q v_hat``, measurement
+    ``y = ramp(t) C x + nu_k`` with ``ramp(t) = 1 - exp(-t)`` when enabled
+    and one normal draw per step held across the stages.  Shares no code
+    with ``simulate``; it is the oracle for any faster kernel.
+    """
+    n, N, dt = p.n, cfg.steps, cfg.dt
+    if cfg.noise_std > 0.0:
+        noise = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal(N + 1)
+    else:
+        noise = np.zeros(N + 1)
+
+    def control(z):
+        return fb.F @ z[:n] - rs.Q @ z[n:]
+
+    def measure(t, x, nu):
+        ramp = 1.0 - np.exp(-t) if cfg.output_ramp else 1.0
+        return ramp * (p.C @ x) + nu
+
+    def rhs(t, x, z, nu):
+        u = control(z)
+        dx = p.A @ x + p.B * (u + float(d.value(t)))
+        dz = obs.A_hat @ z + obs.L_y * measure(t, x, nu) + obs.B_u * u
+        return dx, dz
+
+    x, z = np.array(x0, dtype=float), np.array(obs0, dtype=float)
+    rows = []
+    for k in range(N + 1):
+        t, nu = k * dt, noise[k]
+        rows.append((x, z, float(d.value(t)), rs.Q @ z[n:], control(z), measure(t, x, nu)))
+        if cfg.integrator == "euler":
+            dx, dz = rhs(t, x, z, nu)
+            x, z = x + dt * dx, z + dt * dz
+            continue
+        k1 = rhs(t, x, z, nu)
+        k2 = rhs(t + dt / 2, x + dt / 2 * k1[0], z + dt / 2 * k1[1], nu)
+        k3 = rhs(t + dt / 2, x + dt / 2 * k2[0], z + dt / 2 * k2[1], nu)
+        k4 = rhs(t + dt, x + dt * k3[0], z + dt * k3[1], nu)
+        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        z = z + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    x, z, d_vals, d_hat, u, y = (np.array(col) for col in zip(*rows))
+    return {"x": x, "x_hat": z[:, :n], "v_hat": z[:, n:], "d": d_vals, "d_hat": d_hat, "u": u, "y": y}
+
+
+class TestReferenceStepper:
+    DESIGNS = {
+        "n2_m0": dict(a=[2.0, 1.0], spectrum=[], p_base=(-1.0,), omega_o=10.0),
+        "n3_m2": dict(a=[1.0, -2.0, 0.5], spectrum=[10j, -10j], p_base=(-1.0, -3.0, -3.0), omega_o=10.0,
+                      k_base=(-1.0, -3.0, -3.0)),
+    }
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["quiet", "noise"])
+    @pytest.mark.parametrize("ramp", [False, True], ids=["const", "ramp"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_simulate_matches_reference(self, design, noise, ramp, integrator):
+        p, exo, sg, rs, obs, fb = make_design(**self.DESIGNS[design])
+        cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, noise_std=noise, seed=3, output_ramp=ramp)
+        x0 = np.linspace(0.5, -0.5, p.n)
+        obs0 = np.zeros(obs.dim)
+        tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+        ref = reference_run(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+        assert np.array_equal(tr.times, np.arange(cfg.steps + 1) * cfg.dt)
+        for name, want in ref.items():
+            got = getattr(tr, name).reshape(want.shape)
+            assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)), name
 
 
 class TestHighGainProbe:
