@@ -1,12 +1,22 @@
 """Fixed-step closed-loop simulation, error metrics, and high-gain probes.
 
-The integrator is deliberately plain: a uniform grid, classic fourth-order
-Runge-Kutta (or explicit Euler for fidelity comparisons), and a
-measurement path that supports an optional soft-start ramp and per-step
-additive Gaussian noise.  The noise draw is held constant across the
-stages of a step, reproducing a per-sample corruption rather than a
-dt-scaled white-noise model.  Everything is a pure function of its inputs
-including the seed, so runs are bit-reproducible and safely parallel.
+The grid is uniform; the integrator is classic fourth-order Runge-Kutta
+(or explicit Euler for fidelity comparisons), and the measurement path
+supports an optional soft-start ramp and per-step additive Gaussian noise.
+The noise draw is held constant across the stages of a step, reproducing a
+per-sample corruption rather than a dt-scaled white-noise model.
+
+The closed loop is linear, its only time variation a scalar ramp on a
+rank-one measurement coupling, and its forcing (disturbance, noise) is
+known in advance.  Each step is therefore an affine map
+``z_{k+1} = Phi_k z_k + g_k``.  The kernel works in chunks of ``CHUNK``
+steps: it builds the chunk's maps in batch from the drift at the half-grid
+points, then composes them by a doubling prefix scan (Hillis-Steele; see
+Blelloch, "Prefix sums and their applications", CMU-CS-90-190).  The
+divergence guard is checked once per chunk but reports the exact first
+grid point beyond it.  The chunk size is a constant, so everything is a
+pure function of its inputs including the seed, runs are bit-reproducible
+and safely parallel.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .disturbance import Signal, evaluate
-from .errors import DimensionMismatch, EmptyTrajectory, NonFinite
+from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite
 from .plant import Plant
 from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain, _drift, _power_schedule
 
@@ -36,6 +46,11 @@ __all__ = [
 DIVERGENCE_GUARD = 1e12
 
 INTEGRATORS = ("rk4", "euler")
+
+#: Steps per chunk of the integration kernel.  Fixed, not derived from
+#: the host, so the order of the arithmetic and every output byte of a
+#: run are the same from run to run.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +110,10 @@ def simulate(
     The measurement fed to the observer at each step is
     ``y = ramp(t) * C x + noise_std * xi_k`` with one normal draw per step,
     held across the integrator stages of that step.  Without a feedback
-    gain the control is identically zero (observer-only run).
+    gain the control is identically zero (observer-only run).  A grid too
+    large to allocate raises ``ConfigError``; a state beyond
+    ``DIVERGENCE_GUARD`` (or not finite) raises ``NonFinite`` naming the
+    first such grid time.
     """
     n = p.n
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -109,6 +127,13 @@ def simulate(
 
     N = cfg.steps
     dt = cfg.dt
+    dim = n + obs.dim
+    try:
+        Z = np.empty((N + 1, dim))
+        half_times = np.arange(2 * N + 1) * (dt / 2.0)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
+    times = half_times[::2]
 
     # drift with control folded in; measurement coupling kept separate
     # because the ramp makes it time varying
@@ -118,9 +143,10 @@ def simulate(
         F_aug = np.zeros(obs.dim)
     M0, col_d = _drift(p, obs, F_aug)
     col_y = np.concatenate([np.zeros(n), obs.L_y])
+    meas_idx = n - 1  # C picks the last plant state
+    U = np.zeros((dim, dim))
+    U[:, meas_idx] = col_y
 
-    half_times = np.arange(2 * N + 1) * (dt / 2.0)
-    times = half_times[::2]
     d_half = np.asarray(evaluate(d, half_times), dtype=float)
     if cfg.output_ramp:
         ramp_half = 1.0 - np.exp(-half_times)
@@ -131,35 +157,23 @@ def simulate(
     else:
         noise = np.zeros(N + 1)
 
-    meas_idx = n - 1  # C picks the last plant state
-
-    def field(z, j, nu):
-        # closed-loop vector field at half-grid index j
-        f = M0 @ z
-        f += (ramp_half[j] * z[meas_idx] + nu) * col_y
-        f += d_half[j] * col_d
-        return f
-
-    Z = np.empty((N + 1, n + obs.dim))
-    z = np.concatenate([x0, z_obs0])
+    Z[0] = np.concatenate([x0, z_obs0])
     rk4 = cfg.integrator == "rk4"
-    for k in range(N + 1):
-        # written so that a NaN state trips the guard too
-        if not (np.abs(z).max() <= DIVERGENCE_GUARD):
-            raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k]:.6g}")
-        Z[k] = z
-        if k == N:
-            break
-        j = 2 * k
-        nu = noise[k]
-        f1 = field(z, j, nu)
-        if rk4:
-            f2 = field(z + (0.5 * dt) * f1, j + 1, nu)
-            f3 = field(z + (0.5 * dt) * f2, j + 1, nu)
-            f4 = field(z + dt * f3, j + 2, nu)
-            z = z + (dt / 6.0) * (f1 + 2.0 * (f2 + f3) + f4)
-        else:
-            z = z + dt * f1
+    # a diverging chunk may overflow past its first bad row; the guard
+    # below reports that row, so the overflow itself is not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, N, CHUNK):
+            k1 = min(k0 + CHUNK, N)
+            j = slice(2 * k0, 2 * k1 + 1)
+            A = ramp_half[j, None, None] * U
+            A += M0
+            Phi, g = _step_maps(A, noise[k0:k1, None] * col_y, d_half[j, None] * col_d, dt, rk4)
+            _compose(Phi, g, Z[k0], Z[k0 + 1 : k1 + 1])
+            # written so that a NaN state trips the guard too
+            bad = ~(np.abs(Z[k0 : k1 + 1]).max(axis=1) <= DIVERGENCE_GUARD)
+            if bad.any():
+                k = k0 + int(bad.argmax())
+                raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k]:.6g}")
 
     x = Z[:, :n]
     x_hat = Z[:, n : 2 * n]
@@ -174,6 +188,69 @@ def simulate(
         u=Z[:, n:] @ F_aug,
         y=ramp_half[::2] * Z[:, meas_idx] + noise,
     )
+
+
+def _step_maps(A, b_nu, b_d, dt, rk4):
+    """Affine maps ``z_{k+1} = Phi_k z_k + g_k`` of a chunk of L steps.
+
+    ``A`` holds the drift at the chunk's 2L+1 half-grid points, ``b_d`` the
+    disturbance forcing there, and ``b_nu`` the noise forcing of each step,
+    held across its stages.  RK4 composes its four stages in closed form:
+    stage i is ``P_i z + c_i`` with ``P_i``, ``c_i`` built from the previous
+    stage.
+    """
+    A0, Am, A1 = A[0:-1:2], A[1::2], A[2::2]
+    b0 = b_nu + b_d[0:-1:2]
+    if not rk4:
+        Phi = dt * A0
+        Phi += np.eye(A.shape[1])
+        return Phi, dt * b0
+    bm = b_nu + b_d[1::2]
+    b1 = b_nu + b_d[2::2]
+    h = 0.5 * dt
+    P2 = Am @ A0
+    P2 *= h
+    P2 += Am
+    P3 = Am @ P2
+    P3 *= h
+    P3 += Am
+    P4 = A1 @ P3
+    P4 *= dt
+    P4 += A1
+    c2 = bm + h * _matvec(Am, b0)
+    c3 = bm + h * _matvec(Am, c2)
+    c4 = b1 + dt * _matvec(A1, c3)
+    # Phi = I + dt/6 (P1 + 2 P2 + 2 P3 + P4), likewise g from the c_i
+    P2 += P3
+    P2 *= 2.0
+    P2 += A0
+    P2 += P4
+    P2 *= dt / 6.0
+    P2 += np.eye(A.shape[1])
+    return P2, (dt / 6.0) * (b0 + 2.0 * (c2 + c3) + c4)
+
+
+def _matvec(P, v):
+    return (P @ v[:, :, None])[:, :, 0]
+
+
+def _compose(Phi, g, z0, out):
+    """Write ``out[i] = z_{i+1}`` for the step maps ``(Phi, g)`` from ``z0``.
+
+    Hillis-Steele doubling: after the pass with shift ``s`` each pair maps
+    the state ``2s`` steps back to the state after its own step, and ``g``
+    already holds the states whose window reaches ``z0``.  ``Phi`` and
+    ``g`` are overwritten.
+    """
+    L = len(g)
+    g[0] += Phi[0] @ z0
+    s = 1
+    while s < L:
+        g[s:] += _matvec(Phi[s:], g[:-s])
+        if 2 * s < L:
+            Phi[s:] = Phi[s:] @ Phi[:-s]
+        s *= 2
+    out[:] = g
 
 
 @dataclass(frozen=True)

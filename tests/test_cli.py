@@ -209,6 +209,19 @@ class TestSimulateCommand:
         monkeypatch.setenv("EDO_SEED", "not-a-number")
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
 
+    # fig1 at dt = 1e-4: about 1e18 steps exceed numpy's size limit, about
+    # 1e13 steps ask for hundreds of terabytes; both requests fail at once
+    @pytest.mark.parametrize("t_end", [1e14, 1e9], ids=["size_limit", "out_of_memory"])
+    def test_grid_too_large_exits_2(self, tmp_path, capsys, t_end):
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
+        cfg["sim"]["t_end"] = t_end
+        steps = cli.parse_config(cfg).sim.steps
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim: ") and f"{steps} steps" in err
+        assert not out.exists()
+
 
 class TestScenarioAndProbe:
     def test_unknown_scenario_exits_2(self, tmp_path):

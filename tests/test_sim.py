@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from edo import (
     stabilizer_gain,
 )
 from edo.errors import EmptyTrajectory, NonFinite
-from edo.sim import peaking_counterexample_norm
+from edo.sim import CHUNK, peaking_counterexample_norm
 from edo.synthesis import RegulatorSolution, assemble_edo, assemble_known_dynamics_observer, error_system
 from edo.linalg import eigenvalues
 
@@ -243,7 +246,7 @@ def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
     """Plain per-step integration of the closed loop, written from the model.
 
     Plant ``x' = A x + B (u + d)``, observer ``z' = A_hat z + L_y y + B_u u``,
-    control ``u = F x_hat - Q v_hat``, measurement
+    control ``u = F x_hat - Q v_hat`` (zero without a feedback gain), measurement
     ``y = ramp(t) C x + nu_k`` with ``ramp(t) = 1 - exp(-t)`` when enabled
     and one normal draw per step held across the stages.  Shares no code
     with ``simulate``; it is the oracle for any faster kernel.
@@ -255,7 +258,7 @@ def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
         noise = np.zeros(N + 1)
 
     def control(z):
-        return fb.F @ z[:n] - rs.Q @ z[n:]
+        return 0.0 if fb is None else fb.F @ z[:n] - rs.Q @ z[n:]
 
     def measure(t, x, nu):
         ramp = 1.0 - np.exp(-t) if cfg.output_ramp else 1.0
@@ -293,13 +296,8 @@ class TestReferenceStepper:
                       k_base=(-1.0, -3.0, -3.0)),
     }
 
-    @pytest.mark.parametrize("design", sorted(DESIGNS))
-    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["quiet", "noise"])
-    @pytest.mark.parametrize("ramp", [False, True], ids=["const", "ramp"])
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_simulate_matches_reference(self, design, noise, ramp, integrator):
+    def assert_matches_reference(self, design, cfg):
         p, exo, sg, rs, obs, fb = make_design(**self.DESIGNS[design])
-        cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, noise_std=noise, seed=3, output_ramp=ramp)
         x0 = np.linspace(0.5, -0.5, p.n)
         obs0 = np.zeros(obs.dim)
         tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
@@ -308,6 +306,96 @@ class TestReferenceStepper:
         for name, want in ref.items():
             got = getattr(tr, name).reshape(want.shape)
             assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)), name
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["quiet", "noise"])
+    @pytest.mark.parametrize("ramp", [False, True], ids=["const", "ramp"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_simulate_matches_reference(self, design, noise, ramp, integrator):
+        cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, noise_std=noise, seed=3, output_ramp=ramp)
+        self.assert_matches_reference(design, cfg)
+
+    # one step, exactly one chunk, one step into the second chunk, and
+    # 23 full chunks plus a partial one of 28 steps
+    @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 1500])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_chunk_edges_match_reference(self, steps, integrator):
+        cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=0.01, seed=5,
+                        output_ramp=True)
+        assert cfg.steps == steps
+        self.assert_matches_reference("n3_m2", cfg)
+
+
+class TestGuardAtChunkGranularity:
+    """The divergence guard reports the first bad grid point wherever it
+    falls in a chunk of ``CHUNK`` steps.
+
+    The open loop of ``test_divergence_guard`` is linear in ``x0`` and its
+    state magnitude rises at every step, so scaling ``x0`` places the first
+    point beyond 1e12 at any chosen row.
+    """
+
+    STEPS = 2000
+
+    def setup_method(self):
+        self.design = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        self.cfg = SimConfig(t_end=20.0, dt=1e-2)
+        assert self.cfg.steps == self.STEPS and self.STEPS % CHUNK > 8
+
+    def run_reference(self, scale):
+        p, exo, sg, rs, obs, _ = self.design
+        ref = reference_run(p, obs, None, rs, Constant(0.0), self.cfg, [scale, 0.0], np.zeros(3))
+        return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
+
+    @pytest.mark.parametrize("row", [
+        1, CHUNK + 1,                        # first row of a chunk
+        3 * CHUNK,                           # last row of a chunk
+        5 * CHUNK + CHUNK // 2,              # inside a chunk
+        STEPS - STEPS % CHUNK + 5,           # inside the final partial chunk
+    ])
+    def test_reports_first_bad_grid_point(self, row):
+        p, exo, sg, rs, obs, _ = self.design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = self.run_reference(1.0)
+            assert np.all(np.diff(unit) > 0.0)
+            scale = 1e12 / np.sqrt(unit[row - 1] * unit[row])
+            first_bad = int(np.argmax(self.run_reference(scale) > 1e12))
+            assert first_bad == row
+            with pytest.raises(NonFinite) as info:
+                simulate(p, obs, None, rs, Constant(0.0), self.cfg, [scale, 0.0], np.zeros(3))
+        assert str(info.value).endswith(f"at t={first_bad * self.cfg.dt:.6g}")
+
+
+class TestWorkingSet:
+    """Traced allocations stay per chunk: the horizon adds only its records.
+
+    On an n=5, m=4 design (15 states) a whole-horizon stack of step maps
+    would hold N * 15 * 15 doubles, about 36 MB at N = 20 000.
+    """
+
+    def peak_mb(self, steps):
+        base = (-1.0, -5.0, -10.0, -10.0, -5.0)
+        p, exo, sg, rs, obs, fb = make_design([1.0, -2.0, 0.5, 0.3, -1.0], [2j, -2j, 5j, -5j], base, 5.0,
+                                              k_base=base)
+        assert p.n + obs.dim == 15
+        cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, output_ramp=True)
+        assert cfg.steps == steps
+        x0 = np.linspace(0.5, -0.5, p.n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, np.zeros(obs.dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / 1e6
+
+    def test_peak_grows_only_with_the_records(self):
+        short = self.peak_mb(2000)
+        long = self.peak_mb(20000)
+        assert short <= 1.5
+        assert long - short <= 4.0
 
 
 class TestHighGainProbe:
