@@ -23,7 +23,9 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +329,30 @@ def run_config(cfg: RunConfig) -> Trajectory:
 # file emission
 
 
+@contextmanager
+def _open_output(path):
+    """Text stream (UTF-8, ``newline=""``) that rewrites ``path`` in place.
+
+    The file is opened without ``O_TRUNC``: truncating a file to zero makes
+    ext4 (``auto_da_alloc``) flush it on close, and the next truncating open
+    of that path waits for the write-back.  A regular file is cut at the
+    final length once the writer is done (or has failed), so no tail of an
+    earlier, longer output survives; the file keeps its inode, mode and
+    links.  Special files such as ``/dev/null`` cannot be truncated and are
+    left as they are.  A path that cannot be opened raises ``ConfigError``.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def write_csv(path, tr: Trajectory) -> None:
     n = tr.x.shape[1]
     v_dim = tr.v_hat.shape[1]
@@ -338,7 +364,7 @@ def write_csv(path, tr: Trajectory) -> None:
         + ["d", "dhat", "u", "y"]
     )
     table = np.column_stack([tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in table:
             # repr is the shortest digit string that round-trips the double
@@ -347,19 +373,16 @@ def write_csv(path, tr: Trajectory) -> None:
 
 def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
     stride = max(1, int(np.ceil(ts.size / limit)))
-    idx = list(range(0, ts.size, stride))
+    idx = np.arange(0, ts.size, stride)
     if idx[-1] != ts.size - 1:
-        idx.append(ts.size - 1)
+        idx = np.append(idx, ts.size - 1)
     t_lo, t_hi = t_span
     v_lo, v_hi = v_span
     dv = v_hi - v_lo or 1.0
     dt_ = t_hi - t_lo or 1.0
-    pts = []
-    for i in idx:
-        px = x0 + (ts[i] - t_lo) / dt_ * w
-        py = y0 + h - (vs[i] - v_lo) / dv * h
-        pts.append(f"{px:.2f},{py:.2f}")
-    return " ".join(pts)
+    px = x0 + (ts[idx] - t_lo) / dt_ * w
+    py = y0 + h - (vs[idx] - v_lo) / dv * h
+    return " ".join([f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())])
 
 
 def write_svg(path, tr: Trajectory) -> None:
@@ -402,7 +425,7 @@ def write_svg(path, tr: Trajectory) -> None:
         parts.append(f'<text x="{x0}" y="{y0 + h + 14}">t in [{t_span[0]:.6g}, {t_span[1]:.6g}]</text>')
         parts.append(f'<text x="{x0 + w - 120}" y="{y0 - 12}">range [{lo:.6g}, {hi:.6g}]</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -453,7 +476,7 @@ def cmd_design(config_path, out_path) -> int:
     cfg = load_config(config_path)
     design = build_design(cfg)
     report = design_report(design)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(out_path) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for name in ("observer_state", "observer_carrier", "state_feedback", "closed_loop"):
@@ -484,7 +507,10 @@ def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
 def cmd_scenario(name, out_dir) -> int:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from None
     stem = os.path.join(out_dir, name)
     m = _run_and_emit(parse_config(SCENARIOS[name]), stem + ".csv", stem + ".svg")
     payload = {
@@ -494,7 +520,7 @@ def cmd_scenario(name, out_dir) -> int:
         "tail_max_state_err": m.tail_max_state_err,
         "peak_abs": m.peak_abs,
     }
-    with open(stem + "_metrics.json", "w", encoding="utf-8", newline="") as fh:
+    with _open_output(stem + "_metrics.json") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"{name}: tail_max_dist_err={m.tail_max_dist_err:.6g} tail_max_state_err={m.tail_max_state_err:.6g}")

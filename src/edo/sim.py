@@ -21,7 +21,9 @@ and safely parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -76,9 +78,12 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        # grid count is intended as an exact division; absorb float fuzz
-        ratio = self.t_end / self.dt
-        return int(np.floor(ratio + 1e-9 * max(1.0, ratio)))
+        """``floor(t_end/dt)`` of the decimal values as written, exactly.
+
+        In binary ``0.3 / 0.1`` is 2.9999999999999996; the shortest decimal
+        strings of the two doubles divide exactly, at any magnitude.
+        """
+        return math.floor(Fraction(repr(float(self.t_end))) / Fraction(repr(float(self.dt))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -209,20 +210,171 @@ class TestSimulateCommand:
         monkeypatch.setenv("EDO_SEED", "not-a-number")
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
 
-    # fig1 at dt = 1e-4: about 1e18 steps exceed numpy's size limit, about
-    # 1e13 steps ask for hundreds of terabytes; both requests fail at once
-    @pytest.mark.parametrize("t_end", [1e14, 1e9], ids=["size_limit", "out_of_memory"])
-    def test_grid_too_large_exits_2(self, tmp_path, capsys, t_end):
+    # about 1e18 steps exceed numpy's size limit, about 1e13 steps ask for
+    # hundreds of terabytes, and t_end/dt beyond the double range must still
+    # count its steps exactly; every request fails at once
+    @pytest.mark.parametrize(
+        "t_end, dt, steps",
+        [(1e14, 1e-4, 10**18), (1e9, 1e-4, 10**13), (1e10, 1e-300, 10**310)],
+        ids=["size_limit", "out_of_memory", "ratio_overflows"],
+    )
+    def test_grid_too_large_exits_2(self, tmp_path, capsys, t_end, dt, steps):
         cfg = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
-        cfg["sim"]["t_end"] = t_end
-        steps = cli.parse_config(cfg).sim.steps
+        cfg["sim"].update(t_end=t_end, dt=dt)
+        assert cli.parse_config(cfg).sim.steps == steps
         out = tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: sim: ") and f"{steps} steps" in err
+        assert err.startswith("config error: sim: ") and f"a grid of {steps} steps" in err
         assert not out.exists()
 
 
+class TestOutputFiles:
+    """Outputs are rewritten in place: never truncated to empty first."""
+
+    def run_simulate(self, tmp_path, out, svg=None, t_end=0.2):
+        cfg = base_config()
+        cfg["sim"]["t_end"] = t_end
+        argv = ["simulate", "--config", write_config(tmp_path, cfg, f"cfg_{t_end}.json"), "--out", str(out)]
+        if svg is not None:
+            argv += ["--svg", str(svg)]
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("simulate_out", "missing/x.csv"),
+            ("simulate_out", "."),
+            ("simulate_svg", "missing/x.svg"),
+            ("design_out", "missing/d.json"),
+            ("scenario_out", "a_file"),
+        ],
+        ids=["simulate_missing_dir", "simulate_out_is_dir", "svg_missing_dir", "design_missing_dir", "scenario_out_is_file"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, bad):
+        bad = os.path.join(str(tmp_path), bad)
+        cfg_path = write_config(tmp_path, base_config())
+        (tmp_path / "a_file").write_text("keep")
+        argv = {
+            "simulate_out": ["simulate", "--config", cfg_path, "--out", bad],
+            "simulate_svg": ["simulate", "--config", cfg_path, "--out", str(tmp_path / "r.csv"), "--svg", bad],
+            "design_out": ["design", "--config", cfg_path, "--out", bad],
+            "scenario_out": ["scenario", "fig1", "--out", bad],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {bad}: ") and "Traceback" not in err
+        assert (tmp_path / "a_file").read_text() == "keep"
+
+    def test_shorter_rewrite_matches_fresh_file(self, tmp_path):
+        out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        self.run_simulate(tmp_path, out, svg, t_end=0.2)
+        long_size = out.stat().st_size
+        self.run_simulate(tmp_path, out, svg, t_end=0.1)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        self.run_simulate(tmp_path, fresh / "run.csv", fresh / "run.svg", t_end=0.1)
+        assert out.stat().st_size < long_size
+        assert out.read_bytes() == (fresh / "run.csv").read_bytes()
+        assert svg.read_bytes() == (fresh / "run.svg").read_bytes()
+
+    def test_rewrite_keeps_mode_inode_and_links(self, tmp_path):
+        out, link = tmp_path / "run.csv", tmp_path / "hard.csv"
+        self.run_simulate(tmp_path, out)
+        out.chmod(0o600)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        self.run_simulate(tmp_path, out, t_end=0.1)
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == out.read_bytes()
+        assert len(out.read_text().splitlines()) == 1 + 101
+
+    def test_symlink_output_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("stale\n" * 10000)
+        link.symlink_to(target)
+        self.run_simulate(tmp_path, link)
+        self.run_simulate(tmp_path, tmp_path / "fresh.csv")
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_dev_null_output_exits_0(self, tmp_path):
+        self.run_simulate(tmp_path, os.devnull, os.devnull)
+
+    def test_no_output_is_opened_truncating(self, tmp_path, monkeypatch):
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
+        cfg["sim"]["t_end"] = 0.05
+        monkeypatch.setitem(cli.SCENARIOS, "fig1", cfg)
+        out_dir = tmp_path / "D"
+        calls = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            calls.append((path, flags, None))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            calls.append((file, None, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        for _ in range(2):
+            assert cli.main(["scenario", "fig1", "--out", str(out_dir)]) == 0
+        monkeypatch.undo()
+
+        outputs = [
+            (os.fspath(path), flags, mode)
+            for path, flags, mode in calls
+            if not isinstance(path, int) and os.path.dirname(os.fspath(path)) == str(out_dir)
+        ]
+        assert sorted(path for path, _, _ in outputs) == sorted(
+            2 * [str(out_dir / name) for name in ("fig1.csv", "fig1.svg", "fig1_metrics.json")]
+        )
+        for path, flags, mode in outputs:
+            assert mode is None, f"{path} opened with open(..., {mode!r})"
+            assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
+
+
+def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
+    """The per-point loop ``cli._polyline`` replaced; it must format alike."""
+    stride = max(1, int(np.ceil(ts.size / limit)))
+    idx = list(range(0, ts.size, stride))
+    if idx[-1] != ts.size - 1:
+        idx.append(ts.size - 1)
+    t_lo, t_hi = t_span
+    v_lo, v_hi = v_span
+    dv = v_hi - v_lo or 1.0
+    dt_ = t_hi - t_lo or 1.0
+    pts = []
+    for i in idx:
+        px = x0 + (ts[i] - t_lo) / dt_ * w
+        py = y0 + h - (vs[i] - v_lo) / dv * h
+        pts.append(f"{px:.2f},{py:.2f}")
+    return " ".join(pts)
+
+
+class TestPolyline:
+    @pytest.mark.parametrize(
+        "size, limit, constant, zero_span",
+        [
+            (50, 1200, False, False),  # below the limit: every point
+            (4800, 1200, False, False),  # a multiple of the stride 4: the last point is appended
+            (4801, 1200, False, False),  # one past a multiple: the last point is on the stride
+            (100001, 1200, False, False),
+            (3000, 1200, True, False),  # lo == hi
+            (3000, 1200, False, True),  # zero time span
+        ],
+        ids=["below_limit", "stride_multiple", "one_past_multiple", "full_preset", "constant", "zero_time_span"],
+    )
+    def test_matches_per_point_loop(self, size, limit, constant, zero_span):
+        rng = np.random.default_rng(size)
+        ts = np.full(size, 2.5) if zero_span else np.arange(size) * 1e-4
+        vs = np.full(size, -3.25) if constant else np.cumsum(rng.standard_normal(size)) * 1e-3
+        lo, hi = float(np.min(vs)), float(np.max(vs))
+        args = (ts, vs, 45, 30, 330, 225, (float(ts[0]), float(ts[-1])), (lo, hi))
+        assert cli._polyline(*args, limit=limit) == _polyline_reference(*args, limit=limit)
 class TestScenarioAndProbe:
     def test_unknown_scenario_exits_2(self, tmp_path):
         assert cli.main(["scenario", "fig9", "--out", str(tmp_path)]) == 2
