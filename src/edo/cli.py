@@ -330,30 +330,44 @@ def run_config(cfg: RunConfig) -> Trajectory:
 
 
 @contextmanager
-def _open_output(path):
-    """Text stream (UTF-8, ``newline=""``) that rewrites ``path`` in place.
+def _open_outputs(paths):
+    """Open every output before the command's work; rewrite them after it.
 
-    The file is opened without ``O_TRUNC``: truncating a file to zero makes
-    ext4 (``auto_da_alloc``) flush it on close, and the next truncating open
-    of that path waits for the write-back.  A regular file is cut at the
-    final length once the writer is done (or has failed), so no tail of an
-    earlier, longer output survives; the file keeps its inode, mode and
-    links.  Special files such as ``/dev/null`` cannot be truncated and are
-    left as they are.  A path that cannot be opened raises ``ConfigError``.
+    Yields one UTF-8 text stream (``newline=""``) per path, so a path that
+    cannot be opened raises ``ConfigError`` before any work is done.  No
+    file is opened with ``O_TRUNC``: on ext4 (``auto_da_alloc``) a file
+    truncated to zero is flushed on close, and the next truncating open
+    waits for the write-back.  If the block raises, the files created here
+    are removed and the others left byte-unchanged, so the block finishes
+    all that can fail before it writes.  Otherwise each regular file is cut
+    at its final length; it keeps its inode, mode and links, and special
+    files such as ``/dev/null`` are never truncated.
     """
+    streams, created = [], []
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    with open(fd, "w", encoding="utf-8", newline="") as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+        for path in paths:
+            new = not os.path.lexists(path)
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+            if new:
+                created.append(path)
+            streams.append(open(fd, "w", encoding="utf-8", newline=""))
+        yield streams
+    except BaseException:
+        for fh in streams:
+            fh.close()
+        for path in created:
+            os.unlink(path)
+        raise
+    for fh in streams:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+        fh.close()
 
 
-def write_csv(path, tr: Trajectory) -> None:
+def write_csv(fh, tr: Trajectory) -> None:
     n = tr.x.shape[1]
     v_dim = tr.v_hat.shape[1]
     header = (
@@ -364,11 +378,10 @@ def write_csv(path, tr: Trajectory) -> None:
         + ["d", "dhat", "u", "y"]
     )
     table = np.column_stack([tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y])
-    with _open_output(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            # repr is the shortest digit string that round-trips the double
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    fh.write(",".join(header) + "\n")
+    for row in table:
+        # repr is the shortest digit string that round-trips the double
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
@@ -385,7 +398,7 @@ def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
     return " ".join([f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())])
 
 
-def write_svg(path, tr: Trajectory) -> None:
+def write_svg(fh, tr: Trajectory) -> None:
     """Static three-panel figure: state estimates, estimation error, control."""
     panels = []
     n = tr.x.shape[1]
@@ -425,8 +438,7 @@ def write_svg(path, tr: Trajectory) -> None:
         parts.append(f'<text x="{x0}" y="{y0 + h + 14}">t in [{t_span[0]:.6g}, {t_span[1]:.6g}]</text>')
         parts.append(f'<text x="{x0 + w - 120}" y="{y0 - 12}">range [{lo:.6g}, {hi:.6g}]</text>')
     parts.append("</svg>")
-    with _open_output(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    fh.write("\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +486,8 @@ TAIL_FRACTION = 0.2
 
 def cmd_design(config_path, out_path) -> int:
     cfg = load_config(config_path)
-    design = build_design(cfg)
-    report = design_report(design)
-    with _open_output(out_path) as fh:
+    with _open_outputs([out_path]) as (fh,):
+        report = design_report(build_design(cfg))
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for name in ("observer_state", "observer_carrier", "state_feedback", "closed_loop"):
@@ -486,17 +497,20 @@ def cmd_design(config_path, out_path) -> int:
     return EXIT_OK
 
 
-def _run_and_emit(cfg: RunConfig, out_csv, out_svg):
-    """Simulate, write the CSV (and the SVG if asked for), and score the run."""
+def _run_and_emit(cfg: RunConfig, csv_fh, svg_fh=None):
+    """Simulate and score the run, then write the CSV (and the SVG if asked for)."""
     tr = run_config(cfg)
-    write_csv(out_csv, tr)
-    if out_svg is not None:
-        write_svg(out_svg, tr)
-    return metrics(tr, TAIL_FRACTION)
+    m = metrics(tr, TAIL_FRACTION)
+    write_csv(csv_fh, tr)
+    if svg_fh is not None:
+        write_svg(svg_fh, tr)
+    return m
 
 
 def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
-    m = _run_and_emit(load_config(config_path), out_csv, out_svg)
+    cfg = load_config(config_path)
+    with _open_outputs([out_csv] if out_svg is None else [out_csv, out_svg]) as streams:
+        m = _run_and_emit(cfg, *streams)
     print(
         f"tail [{m.tail_window[0]:.6g}, {m.tail_window[1]:.6g}]: "
         f"max |d-dhat| = {m.tail_max_dist_err:.6g}, max ||x-xhat|| = {m.tail_max_state_err:.6g}"
@@ -512,17 +526,17 @@ def cmd_scenario(name, out_dir) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from None
     stem = os.path.join(out_dir, name)
-    m = _run_and_emit(parse_config(SCENARIOS[name]), stem + ".csv", stem + ".svg")
-    payload = {
-        "scenario": name,
-        "tail_window": [m.tail_window[0], m.tail_window[1]],
-        "tail_max_dist_err": m.tail_max_dist_err,
-        "tail_max_state_err": m.tail_max_state_err,
-        "peak_abs": m.peak_abs,
-    }
-    with _open_output(stem + "_metrics.json") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    with _open_outputs([stem + ".csv", stem + ".svg", stem + "_metrics.json"]) as (csv_fh, svg_fh, json_fh):
+        m = _run_and_emit(parse_config(SCENARIOS[name]), csv_fh, svg_fh)
+        payload = {
+            "scenario": name,
+            "tail_window": [m.tail_window[0], m.tail_window[1]],
+            "tail_max_dist_err": m.tail_max_dist_err,
+            "tail_max_state_err": m.tail_max_state_err,
+            "peak_abs": m.peak_abs,
+        }
+        json.dump(payload, json_fh, indent=2)
+        json_fh.write("\n")
     print(f"{name}: tail_max_dist_err={m.tail_max_dist_err:.6g} tail_max_state_err={m.tail_max_state_err:.6g}")
     return EXIT_OK
 

@@ -67,11 +67,7 @@ class Plant:
 
     @property
     def A(self) -> np.ndarray:
-        n = self.n
-        A = np.zeros((n, n))
-        A[1:, : n - 1] += np.eye(n - 1)
-        A[:, -1] = self.a
-        return A
+        return np.ascontiguousarray(linalg.companion_from_last_row(self.a).T)
 
     @property
     def B(self) -> np.ndarray:

@@ -6,7 +6,9 @@ supports an optional soft-start ramp and per-step additive Gaussian noise.
 The noise draw is held constant across the stages of a step, reproducing a
 per-sample corruption rather than a dt-scaled white-noise model.
 
-The closed loop is linear, its only time variation a scalar ramp on a
+The closed loop comes from ``synthesis._loop``, the builder behind
+``closed_loop`` too, so the drift the design report prints is the drift
+integrated here.  It is linear, its only time variation a scalar ramp on a
 rank-one measurement coupling, and its forcing (disturbance, noise) is
 known in advance.  Each step is therefore an affine map
 ``z_{k+1} = Phi_k z_k + g_k``.  The kernel works in chunks of ``CHUNK``
@@ -32,7 +34,7 @@ from . import linalg
 from .disturbance import Signal, evaluate
 from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite
 from .plant import Plant
-from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain, _drift, _power_schedule
+from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain, _loop, _power_schedule
 
 __all__ = [
     "SimConfig",
@@ -121,34 +123,23 @@ def simulate(
     first such grid time.
     """
     n = p.n
+    M0, col_y, meas_idx, col_d, F_aug = _loop(p, obs, fb, rs)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     z_obs0 = np.asarray(obs0, dtype=float).reshape(-1)
-    if obs.n != n or x0.shape != (n,) or z_obs0.shape != (obs.dim,):
+    if x0.shape != (n,) or z_obs0.shape != (obs.dim,):
         raise DimensionMismatch("initial states do not match plant/observer dimensions")
-    if fb is not None and fb.F.shape != (n,):
-        raise DimensionMismatch("feedback gain does not match plant order")
-    if rs.Q.shape != (obs.v_dim,):
-        raise DimensionMismatch("regulator row does not match observer carrier dimension")
 
     N = cfg.steps
     dt = cfg.dt
-    dim = n + obs.dim
+    dim = M0.shape[0]
     try:
         Z = np.empty((N + 1, dim))
         half_times = np.arange(2 * N + 1) * (dt / 2.0)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
     times = half_times[::2]
-
-    # drift with control folded in; measurement coupling kept separate
-    # because the ramp makes it time varying
-    if fb is not None:
-        F_aug = np.concatenate([fb.F, -rs.Q])
-    else:
-        F_aug = np.zeros(obs.dim)
-    M0, col_d = _drift(p, obs, F_aug)
-    col_y = np.concatenate([np.zeros(n), obs.L_y])
-    meas_idx = n - 1  # C picks the last plant state
+    # the ramp makes the measurement coupling time varying, so it is kept
+    # apart from M0
     U = np.zeros((dim, dim))
     U[:, meas_idx] = col_y
 

@@ -18,6 +18,7 @@ closed-loop spectrum is exactly the union of the three designed spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -70,9 +71,13 @@ class GainBase:
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         if not self.k or not self.p:
             raise DimensionMismatch("gain base vectors must be non-empty")
-        for name, vec in (("k", self.k), ("p", self.p)):
-            if not linalg.is_hurwitz(linalg.companion_from_last_row(vec)):
-                raise NonHurwitzBase(f"companion matrix of base {name}={vec} is not Hurwitz")
+        _check_hurwitz_base(self.k, f"base k={self.k}")
+        _check_hurwitz_base(self.p, f"base p={self.p}")
+
+
+def _check_hurwitz_base(vec, what: str):
+    if not linalg.is_hurwitz(linalg.companion_from_last_row(vec)):
+        raise NonHurwitzBase(f"companion matrix of {what} is not Hurwitz")
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,8 +355,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     k_ctrl = tuple(float(v) for v in k_ctrl)
     if len(k_ctrl) != p.n:
         raise DimensionMismatch(f"control base length {len(k_ctrl)} does not match order {p.n}")
-    if not linalg.is_hurwitz(linalg.companion_from_last_row(k_ctrl)):
-        raise NonHurwitzBase(f"companion matrix of control base {k_ctrl} is not Hurwitz")
+    _check_hurwitz_base(k_ctrl, f"control base {k_ctrl}")
     if omega_c <= 0.0:
         raise ValueError("omega_c must be positive")
     U = controllability_canonical_transform(p)
@@ -368,24 +372,31 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     noise- and ramp-free.  The spectrum is the union of the stabilized
     plant, scheduled observer, and scheduled exosystem spectra.
     """
-    n = p.n
-    if obs.n != n or fb.F.shape != (n,) or rs.Q.shape != (obs.v_dim,):
-        raise DimensionMismatch("plant, observer, feedback, and regulator sizes disagree")
-    M, dist_col = _drift(p, obs, np.concatenate([fb.F, -rs.Q]))
-    M[n:, :n] = np.outer(obs.L_y, p.C)
+    M, _, _, dist_col, _ = _loop(p, obs, fb, rs)
+    M[p.n :, : p.n] = np.outer(obs.L_y, p.C)
     return M, dist_col
 
 
-def _drift(p: Plant, obs: ObserverRealization, F_aug):
-    """Plant-plus-observer drift with ``u = F_aug z_obs`` folded in, and the
-    disturbance column; the measurement block is left zero for the caller."""
+def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: RegulatorSolution):
+    """Layout of the closed loop ``u = F_aug z_obs``, ``F_aug = [F, -Q]``.
+
+    The state is (plant, observer), and without ``fb`` the control is zero.
+    Returns ``(M0, col_y, meas_idx, col_d, F_aug)``: the drift with the
+    control folded in and the measurement block left zero; the measurement
+    ``y = z[meas_idx]``, the state ``p.C`` picks, which enters the drift
+    through the column ``col_y = [0, L_y]``; and the disturbance column.
+    """
     n = p.n
-    dim = n + obs.dim
-    M = np.zeros((dim, dim))
-    M[:n, :n] = p.A
-    M[:n, n:] = np.outer(p.B, F_aug)
-    M[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
-    return M, np.concatenate([p.B, np.zeros(obs.dim)])
+    if obs.n != n or (fb is not None and fb.F.shape != (n,)) or rs.Q.shape != (obs.v_dim,):
+        raise DimensionMismatch("plant, observer, feedback, and regulator sizes disagree")
+    F_aug = np.zeros(obs.dim) if fb is None else np.concatenate([fb.F, -rs.Q])
+    M0 = np.zeros((n + obs.dim, n + obs.dim))
+    M0[:n, :n] = p.A
+    M0[:n, n:] = np.outer(p.B, F_aug)
+    M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
+    col_y = np.concatenate([np.zeros(n), obs.L_y])
+    meas_idx = int(np.flatnonzero(p.C)[0])  # the canonical C is a unit row
+    return M0, col_y, meas_idx, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
 
 
 def error_system(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolution):

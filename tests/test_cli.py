@@ -251,10 +251,13 @@ class TestOutputFiles:
         ],
         ids=["simulate_missing_dir", "simulate_out_is_dir", "svg_missing_dir", "design_missing_dir", "scenario_out_is_file"],
     )
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, bad):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, command, bad):
         bad = os.path.join(str(tmp_path), bad)
         cfg_path = write_config(tmp_path, base_config())
         (tmp_path / "a_file").write_text("keep")
+        (tmp_path / "r.csv").write_text("keep csv")
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
         argv = {
             "simulate_out": ["simulate", "--config", cfg_path, "--out", bad],
             "simulate_svg": ["simulate", "--config", cfg_path, "--out", str(tmp_path / "r.csv"), "--svg", bad],
@@ -265,6 +268,28 @@ class TestOutputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {bad}: ") and "Traceback" not in err
         assert (tmp_path / "a_file").read_text() == "keep"
+        assert (tmp_path / "r.csv").read_text() == "keep csv"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "edit, rc",
+        [
+            (lambda cfg: cfg["gains"].update(k=[1.0, 2.0]), 3),
+            (lambda cfg: cfg["sim"].update(t_end=1e14, dt=1e-4), 2),
+            (lambda cfg: cfg["initial"].update(x0=[0.0, 1e13]), 4),
+        ],
+        ids=["synthesis_error", "grid_too_large", "divergence"],
+    )
+    def test_failed_run_leaves_outputs_as_they_were(self, tmp_path, capsys, edit, rc):
+        cfg = base_config()
+        edit(cfg)
+        out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        out.write_text("an earlier run\n")
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out), "--svg", str(svg)]
+        assert cli.main(argv) == rc
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_text() == "an earlier run\n"
+        assert not svg.exists()
 
     def test_shorter_rewrite_matches_fresh_file(self, tmp_path):
         out, svg = tmp_path / "run.csv", tmp_path / "run.svg"

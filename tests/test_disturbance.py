@@ -76,6 +76,23 @@ class TestSNorm:
     def test_sum_with_offset(self):
         assert s_norm(sine_plus_offset()) == pytest.approx(20.0)
 
+    def test_two_harmonics_peak_off_the_longest_period(self):
+        # |d(0)| = 1 and the slope cos t - 1.5 sin 1.5t reaches -2.5 at
+        # t = 3 pi, past the longer single period 2 pi
+        assert s_norm(Sum((Harmonic(1.0, 1.0, 0.0), Harmonic(1.0, 1.5, np.pi / 2)))) == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_below_a_dense_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        terms = [Harmonic(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(3)]
+        terms += [Constant(rng.uniform(-1.0, 1.0)), Polynomial((0.0, rng.uniform(-0.5, 0.5)))]
+        if seed % 2:
+            terms.append(ExpThenHold(rng.uniform(0.0, 2.0)))
+        s = Sum(tuple(terms))
+        t = np.linspace(0.0, 400.0 * np.pi, 2_000_001)
+        sampled = abs(evaluate(s, 0.0)) + np.abs(derivative(s, t)).max()
+        assert s_norm(s) >= sampled * (1.0 - 1e-12)
+
 
 class TestExosystem:
     def test_empty_spectrum_gives_scalar_zero(self):

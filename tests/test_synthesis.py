@@ -8,11 +8,15 @@ from conftest import (
     spectrum_gap_f64,
 )
 from edo import (
+    Constant,
     GainBase,
     GeneralPlant,
+    SimConfig,
     canonical_plant,
+    evaluate,
     exosystem_from_spectrum,
     schedule_gains,
+    simulate,
     solve_regulator,
     solve_regulator_spectral,
     stabilizer_gain,
@@ -29,6 +33,8 @@ from edo import cli
 from edo.linalg import eigenvalues
 from edo.plant import observability_matrix
 from edo.synthesis import (
+    RegulatorSolution,
+    StabilizerGain,
     assemble_edo,
     assemble_known_dynamics_observer,
     closed_loop,
@@ -342,3 +348,35 @@ class TestClosedLoopAndErrorSystem:
         expected[n:, :n] = -np.outer(exo.E, p.C)
         expected[n:, n:] = exo.G + np.outer(exo.E, sg.P_omega)
         assert np.abs(transformed - expected).max() < 1e-10
+
+
+class TestClosedLoopBuilder:
+    """``closed_loop`` and ``simulate`` share one layout of the closed loop."""
+
+    @pytest.mark.parametrize("wrong", ["feedback_order", "regulator_row"])
+    def test_size_mismatch_raises(self, wrong):
+        d = scenario_design("fig2")
+        p, obs, fb, rs = d.plant, d.observer, d.stabilizer, d.regulator
+        if wrong == "feedback_order":
+            fb = StabilizerGain(omega_c=fb.omega_c, F=np.append(fb.F, 1.0), U=fb.U)
+        else:
+            rs = RegulatorSolution(S=rs.S, Q=rs.Q[:-1])
+        with pytest.raises(DimensionMismatch):
+            closed_loop(p, obs, fb, rs)
+        cfg = SimConfig(t_end=1e-3, dt=1e-4)
+        with pytest.raises(DimensionMismatch):
+            simulate(p, obs, fb, rs, Constant(0.0), cfg, np.zeros(p.n), np.zeros(obs.dim))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_integrated_drift_is_reported_drift(self, name):
+        # one Euler step, ramp off and no noise: z1 = z0 + dt (M_cl z0 + col_d d(0))
+        d = scenario_design(name)
+        p, obs = d.plant, d.observer
+        dist = cli.parse_config(cli.SCENARIOS[name]).disturbance
+        z0 = np.random.default_rng(7).standard_normal(p.n + obs.dim)
+        cfg = SimConfig(t_end=1e-4, dt=1e-4, integrator="euler")
+        tr = simulate(p, obs, d.stabilizer, d.regulator, dist, cfg, z0[: p.n], z0[p.n :])
+        z1 = np.concatenate([tr.x[1], tr.x_hat[1], tr.v_hat[1]])
+        M_cl, col_d = closed_loop(p, obs, d.stabilizer, d.regulator)
+        expected = z0 + cfg.dt * (M_cl @ z0 + col_d * evaluate(dist, 0.0))
+        assert np.abs(z1 - expected).max() <= 1e-13 * np.abs(expected).max()
