@@ -64,8 +64,6 @@ def companion_from_last_row(row) -> np.ndarray:
     ``lambda^s - row[-1] lambda^(s-1) - ... - row[0]``.
     """
     row = np.asarray(row, dtype=float)
-    s = row.size
-    M = np.zeros((s, s))
-    M[:-1, 1:] += np.eye(s - 1)
+    M = np.eye(row.size, k=1)
     M[-1, :] = row
     return M

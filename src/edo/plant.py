@@ -67,7 +67,7 @@ class Plant:
 
     @property
     def A(self) -> np.ndarray:
-        return np.ascontiguousarray(linalg.companion_from_last_row(self.a).T)
+        return linalg.companion_from_last_row(self.a).T.copy()
 
     @property
     def B(self) -> np.ndarray:

@@ -71,13 +71,13 @@ class GainBase:
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         if not self.k or not self.p:
             raise DimensionMismatch("gain base vectors must be non-empty")
-        _check_hurwitz_base(self.k, f"base k={self.k}")
-        _check_hurwitz_base(self.p, f"base p={self.p}")
+        _check_hurwitz_base(self.k, "base k")
+        _check_hurwitz_base(self.p, "base p")
 
 
 def _check_hurwitz_base(vec, what: str):
     if not linalg.is_hurwitz(linalg.companion_from_last_row(vec)):
-        raise NonHurwitzBase(f"companion matrix of {what} is not Hurwitz")
+        raise NonHurwitzBase(f"companion matrix of {what} {vec} is not Hurwitz")
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +355,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     k_ctrl = tuple(float(v) for v in k_ctrl)
     if len(k_ctrl) != p.n:
         raise DimensionMismatch(f"control base length {len(k_ctrl)} does not match order {p.n}")
-    _check_hurwitz_base(k_ctrl, f"control base {k_ctrl}")
+    _check_hurwitz_base(k_ctrl, "control base")
     if omega_c <= 0.0:
         raise ValueError("omega_c must be positive")
     U = controllability_canonical_transform(p)
@@ -395,7 +395,7 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     M0[:n, n:] = np.outer(p.B, F_aug)
     M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
     col_y = np.concatenate([np.zeros(n), obs.L_y])
-    meas_idx = int(np.flatnonzero(p.C)[0])  # the canonical C is a unit row
+    meas_idx = int(p.C.argmax())  # the canonical C is a unit row
     return M0, col_y, meas_idx, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
 
 
