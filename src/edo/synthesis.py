@@ -373,6 +373,7 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     plant, scheduled observer, and scheduled exosystem spectra.
     """
     M, _, _, dist_col, _ = _loop(p, obs, fb, rs)
+    # assigned, not added: the report prints the -0.0 entries of the outer product
     M[p.n :, : p.n] = np.outer(obs.L_y, p.C)
     return M, dist_col
 
