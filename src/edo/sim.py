@@ -11,14 +11,27 @@ The closed loop comes from ``synthesis._loop``, the builder behind
 integrated here.  It is linear, its only time variation a scalar ramp on a
 rank-one measurement coupling, and its forcing (disturbance, noise) is
 known in advance.  Each step is therefore an affine map
-``z_{k+1} = Phi_k z_k + g_k``.  The kernel works in chunks of ``CHUNK``
-steps: it builds the chunk's maps in batch from the drift at the half-grid
-points, then composes them by a doubling prefix scan (Hillis-Steele; see
-Blelloch, "Prefix sums and their applications", CMU-CS-90-190).  The
-divergence guard is checked once per chunk but reports the exact first
-grid point beyond it.  The chunk size is a constant, so everything is a
-pure function of its inputs including the seed, runs are bit-reproducible
-and safely parallel.
+``z_{k+1} = Phi_k z_k + g_k``.
+
+Step maps come from a per-run basis.  The drift at ramp value r is
+``M0 + r U`` with U of rank one, so the RK4 map is a polynomial in the ramp
+values at the step's start, midpoint and end, with 12 monomials and
+constant coefficient matrices (2 for Euler); ``g`` is also linear in the
+step's forcing samples.  The coefficients are built once per run by the
+RK4 stage recursion on coefficient stacks, and a block of steps then needs
+one matrix product for its ``Phi`` and one for its ``g``.
+
+The maps are run by a reduce-carry-sweep scan (after Blelloch, "Prefix sums
+and their applications", CMU-CS-90-190) over blocks of chunks of ``CHUNK``
+steps.  A block holds at most ``BLOCK_DOUBLES`` doubles of maps, so its
+length depends on the state dimension alone.  Within a block a pairwise
+tree reduces each chunk to its total affine map, the chunk start states
+are carried from one chunk to the next, and then all chunks step from
+their starts in lockstep, one batched matrix-vector product per position.
+The divergence guard is checked once per block but reports the exact first
+grid point beyond it.  Chunk and block sizes are fixed or derived from the
+dimension, so everything is a pure function of its inputs including the
+seed, runs are bit-reproducible and safely parallel.
 """
 
 from __future__ import annotations
@@ -54,7 +67,11 @@ INTEGRATORS = ("rk4", "euler")
 #: Steps per chunk of the integration kernel.  Fixed, not derived from
 #: the host, so the order of the arithmetic and every output byte of a
 #: run are the same from run to run.
-CHUNK = 64
+CHUNK = 16
+
+#: Doubles of step maps a block of chunks holds at most: the number of
+#: chunks in a block depends only on the state dimension.
+BLOCK_DOUBLES = 32768
 
 
 @dataclass(frozen=True)
@@ -133,44 +150,43 @@ def simulate(
     dt = cfg.dt
     dim = M0.shape[0]
     try:
-        Z = np.empty((N + 1, dim))
-        half_times = np.arange(2 * N + 1) * (dt / 2.0)
+        # the final block is padded to whole chunks: the samples and rows
+        # past the run are computed and cut off below
+        Z = np.empty((N + CHUNK, dim))
+        half_times = np.arange(2 * (N + CHUNK) - 1) * (dt / 2.0)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
-    times = half_times[::2]
-    # the ramp makes the measurement coupling time varying, so it is kept
-    # apart from M0
-    U = np.zeros((dim, dim))
-    U[:, meas_idx] = col_y
+    times = half_times[: 2 * N + 1 : 2]
 
     d_half = np.asarray(evaluate(d, half_times), dtype=float)
     if cfg.output_ramp:
         ramp_half = 1.0 - np.exp(-half_times)
     else:
-        ramp_half = np.ones(2 * N + 1)
+        ramp_half = np.ones(len(half_times))
+    noise = np.zeros(N + CHUNK)
     if cfg.noise_std > 0.0:
-        noise = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal(N + 1)
-    else:
-        noise = np.zeros(N + 1)
+        noise[: N + 1] = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal(N + 1)
 
     Z[0] = np.concatenate([x0, z_obs0])
     rk4 = cfg.integrator == "rk4"
-    # a diverging chunk may overflow past its first bad row; the guard
+    block = _block_steps(dim)
+    # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, N, CHUNK):
-            k1 = min(k0 + CHUNK, N)
-            j = slice(2 * k0, 2 * k1 + 1)
-            A = ramp_half[j, None, None] * U
-            A += M0
-            Phi, g = _step_maps(A, noise[k0:k1, None] * col_y, d_half[j, None] * col_d, dt, rk4)
-            _compose(Phi, g, Z[k0], Z[k0 + 1 : k1 + 1])
+        K, Kg = _basis(M0, col_y, meas_idx, col_d, dt, rk4)
+        for k0 in range(0, N, block):
+            k1 = min(k0 + block, N)
+            L = -(-(k1 - k0) // CHUNK) * CHUNK  # whole chunks
+            j = slice(2 * k0, 2 * (k0 + L) + 1)
+            Phi, g = _step_maps(K, Kg, ramp_half[j], d_half[j], noise[k0 : k0 + L], rk4)
+            _scan(Phi, g, Z[k0 : k0 + L + 1])
+            rows = np.abs(Z[k0 : k1 + 1])
             # written so that a NaN state trips the guard too
-            bad = ~(np.abs(Z[k0 : k1 + 1]).max(axis=1) <= DIVERGENCE_GUARD)
-            if bad.any():
-                k = k0 + int(bad.argmax())
+            if not rows.max() <= DIVERGENCE_GUARD:
+                k = k0 + int((~(rows.max(axis=1) <= DIVERGENCE_GUARD)).argmax())
                 raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k]:.6g}")
 
+    Z = Z[: N + 1]
     x = Z[:, :n]
     x_hat = Z[:, n : 2 * n]
     v_hat = Z[:, 2 * n :]
@@ -179,74 +195,132 @@ def simulate(
         x=x,
         x_hat=x_hat,
         v_hat=v_hat,
-        d=d_half[::2],
+        d=d_half[: 2 * N + 1 : 2],
         d_hat=Z[:, n:] @ obs.d_hat_row,
         u=Z[:, n:] @ F_aug,
-        y=ramp_half[::2] * Z[:, meas_idx] + noise,
+        y=ramp_half[: 2 * N + 1 : 2] * Z[:, meas_idx] + noise[: N + 1],
     )
 
 
-def _step_maps(A, b_nu, b_d, dt, rk4):
-    """Affine maps ``z_{k+1} = Phi_k z_k + g_k`` of a chunk of L steps.
+def _block_steps(dim):
+    """Steps per block: whole chunks whose maps hold at most ``BLOCK_DOUBLES``
+    doubles, and at least one chunk."""
+    return max(1, BLOCK_DOUBLES // (CHUNK * dim * dim)) * CHUNK
 
-    ``A`` holds the drift at the chunk's 2L+1 half-grid points, ``b_d`` the
-    disturbance forcing there, and ``b_nu`` the noise forcing of each step,
-    held across its stages.  RK4 composes its four stages in closed form:
-    stage i is ``P_i z + c_i`` with ``P_i``, ``c_i`` built from the previous
-    stage.
+
+def _basis(M0, col_y, meas_idx, col_d, dt, rk4):
+    """Coefficients of the step map ``z -> Phi z + g`` of one step.
+
+    The drift at ramp value r is ``M0 + r U`` with the rank-one
+    ``U = col_y e_meas^T``, so ``Phi`` is a polynomial in the ramp values
+    ``(r0, rm, r1)`` at the step's start, midpoint and end, and ``g`` is
+    also linear in the forcing ``(nu, d0, dm, d1)``: the noise draw, held
+    across the stages, and the disturbance at the three points.  Returns
+    ``(K, Kg)`` with ``Phi = I + sum_i w_i K_i`` and ``g = sum_i wg_i Kg_i``
+    for the weights of ``_step_maps``.  RK4 runs its stage recursion on
+    stacks ``[c, b, a]`` of the coefficients of ``r1^c rm^b r0^a``; a
+    product with the drift at a ramp value shifts that value's axis.
     """
-    A0, Am, A1 = A[0:-1:2], A[1::2], A[2::2]
-    b0 = b_nu + b_d[0:-1:2]
+    dim = M0.shape[0]
+    U = np.zeros((dim, dim))
+    U[:, meas_idx] = col_y
     if not rk4:
-        Phi = dt * A0
-        Phi += np.eye(A.shape[1])
-        return Phi, dt * b0
-    bm = b_nu + b_d[1::2]
-    b1 = b_nu + b_d[2::2]
+        return dt * np.stack([M0, U]).reshape(2, -1), dt * np.stack([col_y, col_d])
+
+    def drift_times(X, axis):
+        Y = M0 @ X
+        UX = col_y[:, None] * X[..., meas_idx, None, :]
+        Y[(slice(None),) * axis + (slice(1, None),)] += UX[(slice(None),) * axis + (slice(None, -1),)]
+        return Y
+
     h = 0.5 * dt
-    P2 = Am @ A0
-    P2 *= h
-    P2 += Am
-    P3 = Am @ P2
-    P3 *= h
-    P3 += Am
-    P4 = A1 @ P3
-    P4 *= dt
-    P4 += A1
-    c2 = bm + h * _matvec(Am, b0)
-    c3 = bm + h * _matvec(Am, c2)
-    c4 = b1 + dt * _matvec(A1, c3)
-    # Phi = I + dt/6 (P1 + 2 P2 + 2 P3 + P4), likewise g from the c_i
-    P2 += P3
-    P2 *= 2.0
-    P2 += A0
-    P2 += P4
-    P2 *= dt / 6.0
-    P2 += np.eye(A.shape[1])
-    return P2, (dt / 6.0) * (b0 + 2.0 * (c2 + c3) + c4)
+    # monomials: index a + 2b + 6c of r0^a rm^b r1^c
+    A0, Am, A1 = np.zeros((3, 2, 3, 2, dim, dim))
+    A0[0, 0, 0] = Am[0, 0, 0] = A1[0, 0, 0] = M0
+    A0[0, 0, 1] = Am[0, 1, 0] = A1[1, 0, 0] = U
+    P2 = Am + h * drift_times(A0, 1)
+    P3 = Am + h * drift_times(P2, 1)
+    P4 = A1 + dt * drift_times(P3, 0)
+    K = (dt / 6.0) * (A0 + 2.0 * (P2 + P3) + P4)
+    # forcing f in (nu, d0, dm, d1) times the monomials free of r0:
+    # index 4 (3c + b) + f, stacks [c, b, f] of column vectors
+    B0, Bm, B1 = np.zeros((3, 2, 3, 4, dim, 1))
+    B0[0, 0, 0] = Bm[0, 0, 0] = B1[0, 0, 0] = col_y[:, None]
+    B0[0, 0, 1] = Bm[0, 0, 2] = B1[0, 0, 3] = col_d[:, None]
+    C2 = Bm + h * drift_times(B0, 1)
+    C3 = Bm + h * drift_times(C2, 1)
+    C4 = B1 + dt * drift_times(C3, 0)
+    Kg = (dt / 6.0) * (B0 + 2.0 * (C2 + C3) + C4)
+    return K.reshape(12, -1), Kg.reshape(24, dim)
+
+
+def _step_maps(K, Kg, ramp, d, noise, rk4):
+    """Step maps ``(Phi, g)`` of a block of whole chunks, indexed
+    ``[position in chunk, chunk]``; ``ramp`` and ``d`` hold the block's
+    half-grid samples, ``noise`` one draw per step.  The weights of the
+    basis of ``_basis`` are the monomials ``w`` in the ramp values and, for
+    ``g``, the forcing times the monomials free of ``r0``."""
+    nc = len(noise) // CHUNK
+    dim = Kg.shape[1]
+
+    def by_position(x):
+        return x.reshape(nc, CHUNK).T
+
+    r0, rm, r1 = (by_position(ramp[i : len(ramp) - 2 + i : 2]) for i in range(3))
+    f = np.stack([by_position(noise)] + [by_position(d[i : len(d) - 2 + i : 2]) for i in range(3)], axis=-1)
+    if rk4:
+        w = np.empty((CHUNK, nc, 12))
+        w[..., 0] = 1.0
+        w[..., 2] = rm
+        w[..., 4] = rm * rm
+        w[..., 1:6:2] = w[..., 0:6:2] * r0[..., None]
+        w[..., 6:] = w[..., :6] * r1[..., None]
+        wg = w[..., 0::2, None] * f[..., None, :]
+    else:
+        w = np.stack([np.ones_like(r0), r0], axis=-1)
+        wg = f[..., :2]
+    Phi = w.reshape(nc * CHUNK, -1) @ K
+    # the identity comes last, as in the stage formula: summed in with
+    # the basis it would round Phi - I at the scale of I once per term
+    Phi[:, :: dim + 1] += 1.0
+    g = wg.reshape(nc * CHUNK, -1) @ Kg
+    return Phi.reshape(CHUNK, nc, dim, dim), g.reshape(CHUNK, nc, dim)
 
 
 def _matvec(P, v):
-    return (P @ v[:, :, None])[:, :, 0]
+    return (P @ v[..., None])[..., 0]
 
 
-def _compose(Phi, g, z0, out):
-    """Write ``out[i] = z_{i+1}`` for the step maps ``(Phi, g)`` from ``z0``.
+def _scan(Phi, g, Zb):
+    """Run the step maps of a block from ``Zb[0]``: ``Zb[1 + c * CHUNK + j]``
+    becomes the state after the step of ``Phi[j, c]``, ``g[j, c]``.
 
-    Hillis-Steele doubling: after the pass with shift ``s`` each pair maps
-    the state ``2s`` steps back to the state after its own step, and ``g``
-    already holds the states whose window reaches ``z0``.  ``Phi`` and
-    ``g`` are overwritten.
+    Reduce: each chunk's total affine map, by a pairwise tree.  Carry: the
+    chunk start states, one matvec per chunk.  Sweep: all chunks step in
+    lockstep from their starts, one batched matvec per position.  A chunk
+    total that overflows can make a carried start non-finite even where
+    the states are not (inf * 0 on a zero state); from the first such
+    chunk the sweep goes one chunk at a time, from the state swept before.
     """
-    L = len(g)
-    g[0] += Phi[0] @ z0
-    s = 1
-    while s < L:
-        g[s:] += _matvec(Phi[s:], g[:-s])
-        if 2 * s < L:
-            Phi[s:] = Phi[s:] @ Phi[:-s]
-        s *= 2
-    out[:] = g
+    nc = Phi.shape[1]
+    dim = Zb.shape[1]
+    S = Zb[:-1].reshape(nc, CHUNK, dim)  # S[c, 0]: the start of chunk c
+    T = Zb[1:].reshape(nc, CHUNK, dim)  # T[c, j]: the state after its step j
+    P, q = Phi, g
+    while len(P) > 1:
+        q = _matvec(P[1::2], q[0::2]) + q[1::2]
+        P = P[1::2] @ P[0::2]
+    P, q = P[0], q[0]
+    for c in range(nc - 1):
+        S[c + 1, 0] = P[c] @ S[c, 0] + q[c]
+    finite = np.isfinite(S[:, 0]).all(axis=1)
+    first_bad = nc if finite.all() else int(finite.argmin())
+    for chunks in [slice(0, first_bad)] + [slice(c, c + 1) for c in range(first_bad, nc)]:
+        z = S[chunks, 0]
+        for j in range(CHUNK):
+            z = _matvec(Phi[j, chunks], z)
+            z += g[j, chunks]
+            T[chunks, j] = z
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,10 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
         raise ValueError("omega_c must be positive")
     U = controllability_canonical_transform(p)
     w = float(omega_c)
-    F = _power_schedule(k_ctrl, w, p.a) @ U
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _power_schedule(k_ctrl, w, p.a) @ U
+    if not np.all(np.isfinite(F)):
+        raise Overflow(f"stabilizer gain at bandwidth {w:g} overflows the double range")
     return StabilizerGain(omega_c=w, F=F, U=U)
 
 

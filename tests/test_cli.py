@@ -115,6 +115,20 @@ class TestDesignCommand:
         assert rc == 3
         assert "synthesis error (Overflow)" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_overflowing_stabilizer_gain_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # the scheduled row and the canonical transform are finite, their
+        # product F is not
+        cfg = base_config()
+        cfg["plant"]["a"] = [1e200, 1e200]
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert "synthesis error (Overflow)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_high_order_plant_designs(self, tmp_path):
         # integrator chain of order 33 with every base root at -1: the
         # closed loop has 33 + 33 + 1 = 67 states

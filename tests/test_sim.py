@@ -22,8 +22,8 @@ from edo import (
     stabilizer_gain,
 )
 from edo.errors import EmptyTrajectory, NonFinite
-from edo.sim import CHUNK, peaking_counterexample_norm
-from edo.synthesis import RegulatorSolution, assemble_edo, assemble_known_dynamics_observer, error_system
+from edo.sim import CHUNK, _basis, _block_steps, _step_maps, peaking_counterexample_norm
+from edo.synthesis import RegulatorSolution, _loop, assemble_edo, assemble_known_dynamics_observer, error_system
 from edo.linalg import eigenvalues
 
 
@@ -289,6 +289,28 @@ def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
     return {"x": x, "x_hat": z[:, :n], "v_hat": z[:, n:], "d": d_vals, "d_hat": d_hat, "u": u, "y": y}
 
 
+def assert_matches_reference(design, cfg):
+    p, exo, sg, rs, obs, fb = make_design(**design)
+    x0 = np.linspace(0.5, -0.5, p.n)
+    obs0 = np.zeros(obs.dim)
+    tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+    ref = reference_run(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+    assert np.array_equal(tr.times, np.arange(cfg.steps + 1) * cfg.dt)
+    for name, want in ref.items():
+        got = getattr(tr, name).reshape(want.shape)
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)), name
+
+
+N5_M4_BASE = (-1.0, -5.0, -10.0, -10.0, -5.0)
+#: Closed loops of 5, 7 and 15 states, each with its own block length.
+BLOCK_DESIGNS = {
+    5: dict(a=[2.0, 1.0], spectrum=[], p_base=(-1.0,), omega_o=10.0),
+    7: dict(a=[2.0, 1.0], spectrum=[10j, -10j], p_base=(-1.0, -3.0, -3.0), omega_o=10.0),
+    15: dict(a=[1.0, -2.0, 0.5, 0.3, -1.0], spectrum=[2j, -2j, 5j, -5j], p_base=N5_M4_BASE, omega_o=5.0,
+             k_base=N5_M4_BASE),
+}
+
+
 class TestReferenceStepper:
     DESIGNS = {
         "n2_m0": dict(a=[2.0, 1.0], spectrum=[], p_base=(-1.0,), omega_o=10.0),
@@ -297,15 +319,7 @@ class TestReferenceStepper:
     }
 
     def assert_matches_reference(self, design, cfg):
-        p, exo, sg, rs, obs, fb = make_design(**self.DESIGNS[design])
-        x0 = np.linspace(0.5, -0.5, p.n)
-        obs0 = np.zeros(obs.dim)
-        tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
-        ref = reference_run(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
-        assert np.array_equal(tr.times, np.arange(cfg.steps + 1) * cfg.dt)
-        for name, want in ref.items():
-            got = getattr(tr, name).reshape(want.shape)
-            assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)), name
+        assert_matches_reference(self.DESIGNS[design], cfg)
 
     @pytest.mark.parametrize("design", sorted(DESIGNS))
     @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["quiet", "noise"])
@@ -315,9 +329,9 @@ class TestReferenceStepper:
         cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, noise_std=noise, seed=3, output_ramp=ramp)
         self.assert_matches_reference(design, cfg)
 
-    # one step, exactly one chunk, one step into the second chunk, and
-    # 23 full chunks plus a partial one of 28 steps
-    @pytest.mark.parametrize("steps", [1, CHUNK, CHUNK + 1, 1500])
+    # one step, four whole chunks, one step into the fifth, and (9 states,
+    # blocks of 400 steps) three blocks plus one ending in a partial chunk
+    @pytest.mark.parametrize("steps", [1, 4 * CHUNK, 4 * CHUNK + 1, 1500])
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     def test_chunk_edges_match_reference(self, steps, integrator):
         cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=0.01, seed=5,
@@ -328,19 +342,22 @@ class TestReferenceStepper:
 
 class TestGuardAtChunkGranularity:
     """The divergence guard reports the first bad grid point wherever it
-    falls in a chunk of ``CHUNK`` steps.
+    falls in a chunk of ``CHUNK`` steps or a block of chunks.
 
     The open loop of ``test_divergence_guard`` is linear in ``x0`` and its
     state magnitude rises at every step, so scaling ``x0`` places the first
-    point beyond 1e12 at any chosen row.
+    point beyond 1e12 at any chosen row.  It has 5 states, so its blocks
+    hold ``BLOCK`` steps and its second block is partial.
     """
 
-    STEPS = 2000
+    STEPS = 1999
+    BLOCK = _block_steps(5)
 
     def setup_method(self):
         self.design = make_design([2.0, 1.0], [], (-1.0,), 10.0)
-        self.cfg = SimConfig(t_end=20.0, dt=1e-2)
+        self.cfg = SimConfig(t_end=19.99, dt=1e-2)
         assert self.cfg.steps == self.STEPS and self.STEPS % CHUNK > 8
+        assert self.BLOCK < self.STEPS < 2 * self.BLOCK
 
     def run_reference(self, scale):
         p, exo, sg, rs, obs, _ = self.design
@@ -348,9 +365,10 @@ class TestGuardAtChunkGranularity:
         return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
 
     @pytest.mark.parametrize("row", [
-        1, CHUNK + 1,                        # first row of a chunk
-        3 * CHUNK,                           # last row of a chunk
+        1, 4 * CHUNK + 1,                    # first row of a chunk
+        12 * CHUNK,                          # last row of a chunk
         5 * CHUNK + CHUNK // 2,              # inside a chunk
+        BLOCK, BLOCK + 1,                    # last row of a block, first of the next
         STEPS - STEPS % CHUNK + 5,           # inside the final partial chunk
     ])
     def test_reports_first_bad_grid_point(self, row):
@@ -365,6 +383,86 @@ class TestGuardAtChunkGranularity:
             with pytest.raises(NonFinite) as info:
                 simulate(p, obs, None, rs, Constant(0.0), self.cfg, [scale, 0.0], np.zeros(3))
         assert str(info.value).endswith(f"at t={first_bad * self.cfg.dt:.6g}")
+
+
+class TestBlockEdges:
+    """Runs that end just before, on and just past a block edge, and one of
+    two blocks plus a partial chunk, against the per-step reference.  The
+    block length depends on the state dimension."""
+
+    @pytest.mark.parametrize("dim", sorted(BLOCK_DESIGNS))
+    @pytest.mark.parametrize("edge", ["block-1", "block", "block+1", "2block+chunk+3"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("ramp, noise", [(True, 0.01), (False, 0.0)], ids=["ramp-noise", "const-quiet"])
+    def test_block_edges_match_reference(self, dim, edge, integrator, ramp, noise):
+        block = _block_steps(dim)
+        steps = {"block-1": block - 1, "block": block, "block+1": block + 1,
+                 "2block+chunk+3": 2 * block + CHUNK + 3}[edge]
+        cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=noise, seed=11,
+                        output_ramp=ramp)
+        assert cfg.steps == steps
+        assert_matches_reference(BLOCK_DESIGNS[dim], cfg)
+
+
+def nested_stage_map(A0, Am, A1, b0, bm, b1, dt, rk4):
+    """``(Phi, g)`` of one step ``z -> Phi z + g`` with the drift ``A0``,
+    ``Am``, ``A1`` and the forcing ``b0``, ``bm``, ``b1`` at its start,
+    midpoint and end, from the stages ``k_i = P_i z + c_i``."""
+    eye = np.eye(len(A0))
+    if not rk4:
+        return eye + dt * A0, dt * b0
+    h = dt / 2.0
+    P1, c1 = A0, b0
+    P2, c2 = Am @ (eye + h * P1), Am @ (h * c1) + bm
+    P3, c3 = Am @ (eye + h * P2), Am @ (h * c2) + bm
+    P4, c4 = A1 @ (eye + dt * P3), A1 @ (dt * c3) + b1
+    return eye + dt / 6.0 * (P1 + 2.0 * P2 + 2.0 * P3 + P4), dt / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+
+
+class TestStepMapBasis:
+    """The step maps built from the per-run basis equal the stage formula
+    evaluated at each step's ramp values and forcing."""
+
+    @pytest.mark.parametrize("dim", sorted(BLOCK_DESIGNS))
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_basis_matches_nested_stages(self, dim, integrator):
+        p, exo, sg, rs, obs, fb = make_design(**BLOCK_DESIGNS[dim])
+        M0, col_y, meas_idx, col_d, _ = _loop(p, obs, fb, rs)
+        U = np.zeros_like(M0)
+        U[:, meas_idx] = col_y
+        rk4, dt = integrator == "rk4", 1e-3
+        rng = np.random.default_rng(dim)
+        ramp = rng.uniform(0.0, 1.0, 2 * CHUNK + 1)
+        ramp[:7] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]  # whole steps at 0 and 1, and mixed
+        d = rng.standard_normal(2 * CHUNK + 1)
+        nu = rng.standard_normal(CHUNK)
+        Phi, g = _step_maps(*_basis(M0, col_y, meas_idx, col_d, dt, rk4), ramp, d, nu, rk4)
+        assert Phi.shape == (CHUNK, 1, dim, dim) and g.shape == (CHUNK, 1, dim)
+        for k in range(CHUNK):
+            A0, Am, A1 = (M0 + r * U for r in ramp[2 * k : 2 * k + 3])
+            b0, bm, b1 = (nu[k] * col_y + v * col_d for v in d[2 * k : 2 * k + 3])
+            want_Phi, want_g = nested_stage_map(A0, Am, A1, b0, bm, b1, dt, rk4)
+            assert np.abs(Phi[k, 0] - want_Phi).max() <= 1e-14 * np.abs(want_Phi).max()
+            assert np.abs(g[k, 0] - want_g).max() <= 1e-14 * np.abs(want_g).max()
+
+
+class TestOverflowingChunkMaps:
+    def test_zero_state_stays_zero(self):
+        # at dt * omega_o = 1e6 a chunk's total map overflows, so a carried
+        # chunk start is inf * 0 = NaN; the states are exactly zero
+        p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 1e10, omega_c=10.0)
+        cfg = SimConfig(t_end=0.05, dt=1e-4, output_ramp=True)
+        M0, col_y, meas_idx, col_d, _ = _loop(p, obs, fb, rs)
+        ramp = 1.0 - np.exp(-np.arange(2 * CHUNK + 1) * (cfg.dt / 2.0))
+        zeros = np.zeros(2 * CHUNK + 1)
+        Phi, _ = _step_maps(*_basis(M0, col_y, meas_idx, col_d, cfg.dt, True), ramp, zeros, zeros[:CHUNK], True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.linalg.multi_dot(list(Phi[::-1, 0]))
+        assert np.all(np.isfinite(Phi)) and not np.all(np.isfinite(total))
+        tr = simulate(p, obs, fb, rs, Constant(0.0), cfg, [0.0, 0.0], np.zeros(obs.dim))
+        assert tr.times.size == 501
+        for field in ("x", "x_hat", "v_hat", "d_hat", "u", "y"):
+            assert not np.any(getattr(tr, field)), field
 
 
 class TestWorkingSet:
