@@ -362,7 +362,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     w = float(omega_c)
     with np.errstate(over="ignore", invalid="ignore"):
         F = _power_schedule(k_ctrl, w, p.a) @ U
-    if not np.all(np.isfinite(F)):
+    if not np.isfinite(F).all():
         raise Overflow(f"stabilizer gain at bandwidth {w:g} overflows the double range")
     return StabilizerGain(omega_c=w, F=F, U=U)
 
