@@ -12,12 +12,14 @@ residual the observer must absorb by high gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import (
     NotConjugateClosed,
+    Overflow,
     RightHalfPlaneViolation,
     UnboundedDerivative,
     UnsupportedVariant,
@@ -205,7 +207,8 @@ class Exosystem:
     polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``.  ``spectrum``
     records the requested eigenvalues (the built-in zero first) exactly
     as given, which keeps later frequency matching free of eigensolver
-    noise.
+    noise.  The matrices are built once per instance and are read-only;
+    the fields are frozen.
     """
 
     g: tuple
@@ -223,21 +226,21 @@ class Exosystem:
     def dim(self) -> int:
         return self.m + 1
 
-    @property
+    @cached_property
     def G(self) -> np.ndarray:
-        return linalg.companion_from_last_row((0.0,) + self.g)
+        return linalg.read_only(linalg.companion_from_last_row((0.0,) + self.g))
 
-    @property
+    @cached_property
     def E(self) -> np.ndarray:
         E = np.zeros(self.dim)
         E[-1] = 1.0
-        return E
+        return linalg.read_only(E)
 
-    @property
+    @cached_property
     def B_d(self) -> np.ndarray:
         B_d = np.zeros(self.dim)
         B_d[0] = 1.0
-        return B_d
+        return linalg.read_only(B_d)
 
     @property
     def zero_multiplicity(self) -> int:
@@ -270,8 +273,10 @@ def exosystem_from_spectrum(nonzero_eigs) -> Exosystem:
             raise NotConjugateClosed(f"no conjugate partner for {lam}") from None
     coeffs = np.array([1.0 + 0.0j])
     for lam in requested:
-        coeffs = np.polymul(coeffs, np.array([1.0, -lam]))
-    coeffs = np.polymul(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
+        coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
+    coeffs = np.convolve(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
+    if not np.isfinite(coeffs).all():
+        raise Overflow(f"spectrum {requested} overflows the exosystem polynomial")
     scale = max(1.0, np.abs(coeffs).max())
     if np.abs(coeffs.imag).max() > 1e-9 * scale:
         raise NotConjugateClosed("expansion left a complex residue")

@@ -16,6 +16,7 @@ __all__ = [
     "is_hurwitz",
     "expm",
     "companion_from_last_row",
+    "read_only",
 ]
 
 #: Default margin on the real axis for Hurwitz classification.
@@ -66,4 +67,10 @@ def companion_from_last_row(row) -> np.ndarray:
     row = np.asarray(row, dtype=float)
     M = np.eye(row.size, k=1)
     M[-1, :] = row
+    return M
+
+
+def read_only(M) -> np.ndarray:
+    """``M`` itself, marked read-only so a cached matrix cannot be edited in place."""
+    M.flags.writeable = False
     return M

@@ -19,6 +19,7 @@ transmission-zero condition over the exosystem spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class Plant:
     """Canonical-form SISO plant defined by coefficient sequences.
 
     ``a`` holds the last-column characteristic coefficients and ``b`` the
-    input vector.  Matrices are materialized on demand so the stored
-    coefficients stay the single source of truth.
+    input vector.  The matrices are built once per instance and are
+    read-only; the fields are frozen, so the stored coefficients stay the
+    single source of truth.
     """
 
     a: tuple
@@ -65,19 +67,19 @@ class Plant:
     def n(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
-        return linalg.companion_from_last_row(self.a).T.copy()
+        return linalg.read_only(linalg.companion_from_last_row(self.a).T.copy())
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
-        return np.array(self.b)
+        return linalg.read_only(np.array(self.b))
 
-    @property
+    @cached_property
     def C(self) -> np.ndarray:
         C = np.zeros(self.n)
         C[-1] = 1.0
-        return C
+        return linalg.read_only(C)
 
 
 @dataclass(frozen=True, eq=False)

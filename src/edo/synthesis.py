@@ -132,44 +132,73 @@ class RegulatorSolution:
     Q: np.ndarray  # length m+1
 
 
-def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
-    """Joint dense solve of ``A_inj S - S G = B Q`` with ``C S = P_row``.
+def _regulator_system(A_inj, G, B, C, P_row):
+    """Square system ``M sol = rhs`` of ``A_inj S - S G = B Q`` with ``C S = P_row``.
 
-    Q is itself an unknown, so the Sylvester part is vectorized
-    (column-major) and the output constraint appended, giving one square
-    linear system in the entries of S and Q.  The system is heavily graded
-    at large bandwidths (entries spanning many orders of magnitude), so it
-    goes through the LAPACK solver and singularity is decided from the
-    residual rather than from a global pivot threshold.
+    ``sol`` stacks the columns of S (column-major vec) over Q.  Block
+    (i, j) of the Sylvester part is ``delta_ij A_inj - G[j, i] I``; ``-B``
+    sits in column ``nS + i`` of block row i and C in row ``nS + i``.  The
+    zeros carry the signs of the Kronecker products ``0 * A_inj``,
+    ``G[j, i] * 0``, ``-(0 * B)`` and ``0 * C`` that spell the same system.
     """
-    n = A_inj.shape[0]
-    d = G.shape[0]
+    n, d = A_inj.shape[0], G.shape[0]
     nS = n * d
     M = np.zeros((nS + d, nS + d))
     rhs = np.zeros(nS + d)
-    M[:nS, :nS] = np.kron(np.eye(d), A_inj) - np.kron(G.T, np.eye(n))
-    M[:nS, nS:] = -np.kron(np.eye(d), B.reshape(-1, 1))
-    M[nS:, :nS] = np.kron(np.eye(d), C.reshape(1, -1))
+    blk, row = np.arange(d), np.arange(n)
+    syl = M[:nS, :nS].reshape(d, n, d, n)  # syl[i, :, j, :] is block (i, j)
+    np.multiply(A_inj[:, None, :], 0.0, out=syl)
+    syl[blk, :, blk, :] = A_inj
+    syl -= (G.T * 0.0)[:, None, :, None]
+    syl[:, row, :, row] -= G.T
+    inp = M[:nS, nS:].reshape(d, n, d)
+    np.multiply(B[:, None], -0.0, out=inp)
+    inp[blk, :, blk] = -B
+    out = M[nS:, :nS].reshape(d, d, n)
+    np.multiply(C, 0.0, out=out)
+    out[blk, blk] = C
     rhs[nS:] = P_row
-    try:
-        sol = np.linalg.solve(M, rhs)
-        # two refinement sweeps with an extended-precision residual; the
-        # system is graded enough that the raw forward error would
-        # otherwise leak into the designed closed-loop spectrum
-        M_ld = M.astype(np.longdouble)
-        rhs_ld = rhs.astype(np.longdouble)
-        for _ in range(2):
-            resid = np.asarray(rhs_ld - M_ld @ sol.astype(np.longdouble), dtype=float)
-            sol = sol + np.linalg.solve(M, resid)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "regulator system is singular; an exosystem eigenvalue collided with the observer poles"
-        ) from exc
-    residual = np.abs(M @ sol - rhs).max()
-    scale = np.abs(M).max() * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
-    if not np.all(np.isfinite(sol)) or residual > 1e-6 * scale:
+    return M, rhs
+
+
+def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
+    """Joint dense solve of ``A_inj S - S G = B Q`` with ``C S = P_row``.
+
+    Q is itself an unknown, so the Sylvester part is vectorized and the
+    output constraint appended, giving one square linear system in the
+    entries of S and Q (``_regulator_system``).  The system is heavily
+    graded at large bandwidths (entries spanning many orders of
+    magnitude), so it goes through the LAPACK solver and singularity is
+    decided from the residual rather than from a global pivot threshold.
+    """
+    n, d = A_inj.shape[0], G.shape[0]
+    nS = n * d
+    M, rhs = _regulator_system(A_inj, G, B, C, P_row)
+    # a solve that leaves the double range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sol = np.linalg.solve(M, rhs)
+            # two refinement sweeps with an extended-precision residual; the
+            # system is graded enough that the raw forward error would
+            # otherwise leak into the designed closed-loop spectrum
+            M_ld = M.astype(np.longdouble)
+            rhs_ld = rhs.astype(np.longdouble)
+            for _ in range(2):
+                resid = np.asarray(rhs_ld - M_ld @ sol.astype(np.longdouble), dtype=float)
+                sol = sol + np.linalg.solve(M, resid)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(
+                "regulator system is singular; an exosystem eigenvalue collided with the observer poles"
+            ) from exc
+        residual = np.abs(M @ sol - rhs).max()
+        scale = np.abs(M).max() * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
+    if not np.isfinite(sol).all() or residual > 1e-6 * scale:
         raise SingularSystem(
             "regulator system is numerically singular; spectra are not disjoint"
+        )
+    if not (np.isfinite(residual) and np.isfinite(scale)):
+        raise SingularSystem(
+            f"regulator residual check overflows the double range (residual {residual:g}, scale {scale:g})"
         )
     S = sol[:nS].reshape((d, n)).T
     Q = sol[nS:]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,31 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert rc == 3 and calls == []
         assert "synthesis error (Overflow)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "carrier, message",
+        [
+            (1e200, "(Overflow): spectrum [1e+200j, -1e+200j] overflows the exosystem polynomial"),
+            (1e80, "(SingularSystem): regulator residual check overflows the double range"),
+        ],
+        ids=["polynomial_overflows", "residual_scale_overflows"],
+    )
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_huge_carrier_frequency_exits_3(self, tmp_path, capsys, monkeypatch, command, carrier, message):
+        # fig3 with its carrier moved to +-carrier j: the characteristic
+        # polynomial, or the scale of the regulator's residual check,
+        # leaves the double range
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig3"]))
+        cfg["exosystem"]["spectrum"] = [[0.0, carrier], [0.0, -carrier]]
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert f"synthesis error {message}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_high_order_plant_designs(self, tmp_path):

@@ -13,8 +13,8 @@ from edo import (
     s_norm,
 )
 from edo.disturbance import derivative
-from edo.errors import NotConjugateClosed, RightHalfPlaneViolation, UnboundedDerivative
-from edo.linalg import eigenvalues
+from edo.errors import NotConjugateClosed, Overflow, RightHalfPlaneViolation, UnboundedDerivative
+from edo.linalg import companion_from_last_row, eigenvalues
 
 
 def sine_plus_offset():
@@ -141,6 +141,49 @@ class TestExosystem:
         exo = exosystem_from_spectrum([0.0, 0.0])
         assert exo.g == (0.0, 0.0)
         assert exo.zero_multiplicity == 3
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[], [0.0], [0.0, 0.0, 0.0], [3j, -3j, 3j, -3j], [0.0, 2.5j, -2.5j], [0.5, 1 + 4j, 1 - 4j], [7.0, 7.0]],
+        ids=["empty", "zero", "triple_zero", "repeated_pair", "odd_m", "odd_m_growing", "repeated_real"],
+    )
+    def test_coefficients_match_polymul(self, spectrum):
+        g = exosystem_from_spectrum(spectrum).g
+        assert np.array_equal(np.array(g), polymul_g(spectrum))
+        assert np.array_equal(np.signbit(g), np.signbit(polymul_g(spectrum)))
+
+    def test_random_coefficients_match_polymul(self, rng):
+        for _ in range(50):
+            freqs = rng.uniform(0.1, 50.0, int(rng.integers(0, 4)))
+            spectrum = [s * 1j * f for f in freqs for s in (1, -1)] + [0.0] * int(rng.integers(0, 3))
+            spectrum = [spectrum[i] for i in rng.permutation(len(spectrum))]
+            assert np.array_equal(exosystem_from_spectrum(spectrum).g, polymul_g(spectrum))
+
+    def test_overflowing_spectrum_raises(self):
+        with pytest.raises(Overflow, match=r"spectrum \[1e\+160j, -1e\+160j\]"):
+            exosystem_from_spectrum([1e160j, complex(0.0, -1e160)])
+
+
+def polymul_g(spectrum):
+    """Last-row entries expanded with ``np.polymul``, as a reference."""
+    coeffs = np.array([1.0 + 0.0j])
+    for lam in spectrum:
+        coeffs = np.polymul(coeffs, np.array([1.0, -complex(lam)]))
+    coeffs = np.polymul(coeffs, np.array([1.0, 0.0]))
+    return np.array([-v + 0.0 for v in coeffs.real[1:-1][::-1]])
+
+
+class TestCachedMatrices:
+    @pytest.mark.parametrize("spectrum", [[], [0.0, 3j, -3j]])
+    def test_built_once_and_read_only(self, spectrum):
+        exo = exosystem_from_spectrum(spectrum)
+        for name in ("G", "E", "B_d"):
+            M = getattr(exo, name)
+            assert getattr(exo, name) is M
+            with pytest.raises(ValueError):
+                M[0] = 1.0
+        assert np.array_equal(exo.G, companion_from_last_row((0.0,) + exo.g))
+        assert np.array_equal(exo.E, np.eye(exo.dim)[-1]) and np.array_equal(exo.B_d, np.eye(exo.dim)[0])
 
 
 class TestDecompose:

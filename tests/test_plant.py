@@ -11,6 +11,7 @@ from edo import (
     transmission_zero_holds,
 )
 from edo.errors import EmptyCoefficients, NotControllable, SpectraOverlap
+from edo.linalg import companion_from_last_row
 from edo.plant import controllability_matrix
 
 
@@ -39,6 +40,16 @@ class TestCanonicalPlant:
     def test_empty_rejected(self):
         with pytest.raises(EmptyCoefficients):
             canonical_plant([])
+
+    def test_matrices_built_once_and_read_only(self):
+        p = canonical_plant([2.0, -1.0, 0.5])
+        for name in ("A", "B", "C"):
+            M = getattr(p, name)
+            assert getattr(p, name) is M
+            with pytest.raises(ValueError):
+                M[0] = 1.0
+        assert np.array_equal(p.A, companion_from_last_row(p.a).T)
+        assert np.array_equal(p.B, [1.0, 0.0, 0.0]) and np.array_equal(p.C, [0.0, 0.0, 1.0])
 
     def test_markov_parameters_consistent(self, rng):
         # the materialized triple must reproduce itself from the stored

@@ -37,6 +37,7 @@ from edo.synthesis import (
     StabilizerGain,
     assemble_edo,
     assemble_known_dynamics_observer,
+    _regulator_system,
     closed_loop,
     error_system,
 )
@@ -126,6 +127,48 @@ class TestSolveRegulator:
         sg = schedule_gains(p, exo, GainBase(k=(-1.0, -2.0), p=(-1.0, -2.0)), 5.0)
         with pytest.raises(NotDiagonalizable):
             solve_regulator_spectral(p, exo, sg)
+
+
+def kron_regulator_system(A_inj, G, B, C, P_row):
+    """The regulator system spelled with Kronecker products (column-major vec)."""
+    n, d = A_inj.shape[0], G.shape[0]
+    nS = n * d
+    M = np.zeros((nS + d, nS + d))
+    rhs = np.zeros(nS + d)
+    M[:nS, :nS] = np.kron(np.eye(d), A_inj) - np.kron(G.T, np.eye(n))
+    M[:nS, nS:] = -np.kron(np.eye(d), B.reshape(-1, 1))
+    M[nS:, :nS] = np.kron(np.eye(d), C.reshape(1, -1))
+    rhs[nS:] = P_row
+    return M, rhs
+
+
+class TestRegulatorSystem:
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_kron_construction(self, n, d):
+        # equal values and equal signed zeros: the products 0*x of the
+        # Kronecker form leave -0.0 wherever x is negative
+        rng = np.random.default_rng(1000 + 10 * n + d)
+        for signed_zeros in (False, True):
+            A_inj, G = rng.standard_normal((n, n)), rng.standard_normal((d, d))
+            B, C, P_row = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(d)
+            if signed_zeros:
+                for X in (A_inj, G, B, C):
+                    X[rng.random(X.shape) < 0.3] = 0.0
+                    X[rng.random(X.shape) < 0.3] = -0.0
+            M, rhs = _regulator_system(A_inj, G, B, C, P_row)
+            M_ref, rhs_ref = kron_regulator_system(A_inj, G, B, C, P_row)
+            assert np.array_equal(M, M_ref) and np.array_equal(np.signbit(M), np.signbit(M_ref))
+            assert np.array_equal(rhs, rhs_ref) and np.array_equal(np.signbit(rhs), np.signbit(rhs_ref))
+
+    def test_design_matrices_match_kron_construction(self, rng):
+        for _ in range(10):
+            inst = random_instance(rng)
+            p, exo, sg = inst["plant"], inst["exo"], inst["sg"]
+            args = (p.A + np.outer(sg.K_omega, p.C), exo.G, p.B, p.C, sg.P_omega)
+            M, _ = _regulator_system(*args)
+            M_ref, _ = kron_regulator_system(*args)
+            assert np.array_equal(M, M_ref) and np.array_equal(np.signbit(M), np.signbit(M_ref))
 
 
 class TestRandomizedSuite:
