@@ -19,7 +19,7 @@ __all__ = [
     "read_only",
 ]
 
-#: Default margin on the real axis for Hurwitz classification.
+#: Margin on the real axis for Hurwitz classification.
 HURWITZ_TOL = 1e-9
 
 
@@ -44,9 +44,9 @@ def eigenvalues(M) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def is_hurwitz(M, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every eigenvalue of ``M`` has real part below ``-tol``."""
-    return bool(eigenvalues(M).real.max() < -tol)
+def is_hurwitz(M) -> bool:
+    """True iff every eigenvalue of ``M`` has real part below ``-HURWITZ_TOL``."""
+    return bool(eigenvalues(M).real.max() < -HURWITZ_TOL)
 
 
 def expm(M) -> np.ndarray:

@@ -141,9 +141,9 @@ def controllability_matrix(A, B) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _full_rank(M, rtol: float = RANK_RTOL) -> bool:
+def _full_rank(M) -> bool:
     sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv[0] > 0.0 and sv[-1] > rtol * sv[0])
+    return bool(sv[0] > 0.0 and sv[-1] > RANK_RTOL * sv[0])
 
 
 def transmission_zero_holds(p: GeneralPlant, lam: complex) -> bool:

@@ -14,7 +14,7 @@ known in advance.  Each step is therefore an affine map
 ``z_{k+1} = Phi_k z_k + g_k``.
 
 Step maps come from a per-run basis.  The drift at ramp value r is
-``M0 + r U`` with U of rank one, so the RK4 map is a polynomial in the ramp
+``M0 + r U``, both from ``_loop``, so the RK4 map is a polynomial in the ramp
 values at the step's start, midpoint and end, with 12 monomials and
 constant coefficient matrices (2 for Euler); ``g`` is also linear in the
 step's forcing samples.  The coefficients are built once per run by the
@@ -140,7 +140,7 @@ def simulate(
     first such grid time.
     """
     n = p.n
-    M0, col_y, meas_idx, col_d, F_aug = _loop(p, obs, fb, rs)
+    M0, U, col_y, col_d, F_aug = _loop(p, obs, fb, rs)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     z_obs0 = np.asarray(obs0, dtype=float).reshape(-1)
     if x0.shape != (n,) or z_obs0.shape != (obs.dim,):
@@ -173,7 +173,7 @@ def simulate(
     # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        K, Kg = _basis(M0, col_y, meas_idx, col_d, dt, rk4)
+        K, Kg = _basis(M0, U, col_y, col_d, dt, rk4)
         for k0 in range(0, N, block):
             k1 = min(k0 + block, N)
             L = -(-(k1 - k0) // CHUNK) * CHUNK  # whole chunks
@@ -198,7 +198,7 @@ def simulate(
         d=d_half[: 2 * N + 1 : 2],
         d_hat=Z[:, n:] @ obs.d_hat_row,
         u=Z[:, n:] @ F_aug,
-        y=ramp_half[: 2 * N + 1 : 2] * Z[:, meas_idx] + noise[: N + 1],
+        y=ramp_half[: 2 * N + 1 : 2] * (x @ p.C) + noise[: N + 1],
     )
 
 
@@ -208,11 +208,11 @@ def _block_steps(dim):
     return max(1, BLOCK_DOUBLES // (CHUNK * dim * dim)) * CHUNK
 
 
-def _basis(M0, col_y, meas_idx, col_d, dt, rk4):
+def _basis(M0, U, col_y, col_d, dt, rk4):
     """Coefficients of the step map ``z -> Phi z + g`` of one step.
 
-    The drift at ramp value r is ``M0 + r U`` with the rank-one
-    ``U = col_y e_meas^T``, so ``Phi`` is a polynomial in the ramp values
+    The drift at ramp value r is ``M0 + r U``, U of rank one, as
+    ``synthesis._loop`` gives it, so ``Phi`` is a polynomial in the ramp values
     ``(r0, rm, r1)`` at the step's start, midpoint and end, and ``g`` is
     also linear in the forcing ``(nu, d0, dm, d1)``: the noise draw, held
     across the stages, and the disturbance at the three points.  Returns
@@ -222,15 +222,12 @@ def _basis(M0, col_y, meas_idx, col_d, dt, rk4):
     product with the drift at a ramp value shifts that value's axis.
     """
     dim = M0.shape[0]
-    U = np.zeros((dim, dim))
-    U[:, meas_idx] = col_y
     if not rk4:
         return dt * np.stack([M0, U]).reshape(2, -1), dt * np.stack([col_y, col_d])
 
     def drift_times(X, axis):
         Y = M0 @ X
-        UX = col_y[:, None] * X[..., meas_idx, None, :]
-        Y[(slice(None),) * axis + (slice(1, None),)] += UX[(slice(None),) * axis + (slice(None, -1),)]
+        Y[(slice(None),) * axis + (slice(1, None),)] += (U @ X)[(slice(None),) * axis + (slice(None, -1),)]
         return Y
 
     h = 0.5 * dt

@@ -188,13 +188,13 @@ def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
                 sol = sol + np.linalg.solve(M, resid)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(
-                "regulator system is singular; an exosystem eigenvalue collided with the observer poles"
+                "regulator system is singular; an exosystem eigenvalue is a plant transmission zero"
             ) from exc
         residual = np.abs(M @ sol - rhs).max()
         scale = np.abs(M).max() * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
     if not np.isfinite(sol).all() or residual > 1e-6 * scale:
         raise SingularSystem(
-            "regulator system is numerically singular; spectra are not disjoint"
+            "regulator system is numerically singular; a plant transmission zero is near an exosystem eigenvalue"
         )
     if not (np.isfinite(residual) and np.isfinite(scale)):
         raise SingularSystem(
@@ -209,9 +209,9 @@ def solve_regulator(p: Plant, exo: Exosystem, sg: ScheduledGains) -> RegulatorSo
     """Solve the regulator equations for the scheduled observer.
 
     Returns (S, Q) with ``(A + K_omega C) S - S G = B Q`` and
-    ``C S = P_omega``.  Solvability only needs the scheduled observer
-    spectrum to avoid the exosystem spectrum, which the Hurwitz base
-    guarantees since the exosystem has no stable eigenvalues.
+    ``C S = P_omega``.  It is solvable exactly when no exosystem eigenvalue
+    is a plant transmission zero: the observer poles are stable and the
+    exosystem's are not, and output injection moves no zeros.
     """
     _check_dims(p, exo, sg)
     A_inj = p.A + np.outer(sg.K_omega, p.C)
@@ -404,9 +404,9 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     noise- and ramp-free.  The spectrum is the union of the stabilized
     plant, scheduled observer, and scheduled exosystem spectra.
     """
-    M, _, _, dist_col, _ = _loop(p, obs, fb, rs)
+    M, U, _, dist_col, _ = _loop(p, obs, fb, rs)
     # assigned, not added: the report prints the -0.0 entries of the outer product
-    M[p.n :, : p.n] = np.outer(obs.L_y, p.C)
+    M[p.n :, : p.n] = U[p.n :, : p.n]
     return M, dist_col
 
 
@@ -414,10 +414,11 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     """Layout of the closed loop ``u = F_aug z_obs``, ``F_aug = [F, -Q]``.
 
     The state is (plant, observer), and without ``fb`` the control is zero.
-    Returns ``(M0, col_y, meas_idx, col_d, F_aug)``: the drift with the
-    control folded in and the measurement block left zero; the measurement
-    ``y = z[meas_idx]``, the state ``p.C`` picks, which enters the drift
-    through the column ``col_y = [0, L_y]``; and the disturbance column.
+    Returns ``(M0, U, col_y, col_d, F_aug)``.  The measurement
+    ``y = r C x`` at ramp value r enters the drift through the column
+    ``col_y = [0, L_y]``, so the drift is ``M0 + r U`` with the rank-one
+    coupling ``U = col_y [C, 0]``; ``M0`` has the control folded in and
+    ``col_d`` is the disturbance column.
     """
     n = p.n
     if obs.n != n or (fb is not None and fb.F.shape != (n,)) or rs.Q.shape != (obs.v_dim,):
@@ -428,8 +429,8 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     M0[:n, n:] = np.outer(p.B, F_aug)
     M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
     col_y = np.concatenate([np.zeros(n), obs.L_y])
-    meas_idx = int(p.C.argmax())  # the canonical C is a unit row
-    return M0, col_y, meas_idx, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
+    U = np.outer(col_y, np.concatenate([p.C, np.zeros(obs.dim)]))
+    return M0, U, col_y, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
 
 
 def error_system(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolution):

@@ -269,6 +269,89 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+MISSING = object()
+
+
+def edited_config(path, value):
+    """``base_config()`` with the entry at ``path`` set to ``value``, or removed."""
+    cfg = base_config()
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+#: (path, value, what stderr must say): ``("EDO_SEED",)`` sets that variable
+#: instead, and ``()`` passes a directory as the config path.
+CONFIG_REFUSALS = [
+    pytest.param(("plant",), [2.0, 1.0], "plant: expected an object", id="not_an_object"),
+    pytest.param(("sim", "dt"), MISSING, "sim: missing keys ['dt']", id="missing_key"),
+    pytest.param(("plant", "a"), [2.0, "1"], "plant.a: expected a number", id="not_a_number"),
+    pytest.param(("gains", "k"), [], "gains.k: expected a non-empty array", id="empty_list"),
+    pytest.param(("disturbance", "terms"), [{"value": 1.0}], "disturbance.terms: disturbance term needs a 'type'",
+                 id="term_without_type"),
+    pytest.param(("exosystem", "spectrum"), {"re": 0.0}, "exosystem.spectrum: expected an array",
+                 id="spectrum_not_a_list"),
+    pytest.param(("exosystem", "spectrum"), [[0.0, 1.0, 2.0]], "exosystem.spectrum: entries must be [re, im] pairs",
+                 id="spectrum_not_pairs"),
+    pytest.param(("gains", "omega_o"), 0.0, "gains: bandwidths must be positive", id="omega_o_zero"),
+    pytest.param(("gains", "omega_c"), -1.0, "gains: bandwidths must be positive", id="omega_c_negative"),
+    pytest.param(("gains", "k"), [-1.0], "gains.k must match the plant order", id="k_length"),
+    pytest.param(("gains", "p"), [-1.0, -2.0], "gains.p must have one entry more", id="p_length"),
+    pytest.param(("disturbance", "terms"), [], "disturbance.terms: expected a non-empty array", id="empty_terms"),
+    pytest.param(("sim", "seed"), 7.0, "sim.seed must be an integer", id="seed_float"),
+    pytest.param(("sim", "seed"), True, "sim.seed must be an integer", id="seed_bool"),
+    pytest.param(("sim", "output_ramp"), 1, "sim.output_ramp must be a boolean", id="ramp_not_bool"),
+    pytest.param(("sim", "dt"), 1.0, "sim: need 0 < dt <= t_end", id="dt_beyond_t_end"),
+    pytest.param(("sim", "integrator"), "midpoint", "sim: integrator must be one of", id="unknown_integrator"),
+    pytest.param(("sim", "noise_std"), -0.1, "sim: noise_std must be nonnegative", id="negative_noise"),
+    pytest.param(("initial", "x0"), [0.0], "initial.x0 must match the plant order", id="x0_size"),
+    pytest.param(("initial", "observer0"), [0.0, 0.0], "initial.observer0 must match the observer dimension",
+                 id="observer0_size"),
+    pytest.param(("EDO_SEED",), str(2**63), "EDO_SEED does not fit a 64-bit integer", id="edo_seed_range"),
+    pytest.param((), None, "cannot read config", id="unreadable_config"),
+]
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("path, value, message", CONFIG_REFUSALS)
+    def test_refusal_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, path, value, message):
+        if path == ("EDO_SEED",):
+            monkeypatch.setenv("EDO_SEED", value)
+            cfg_path = write_config(tmp_path, base_config())
+        elif path == ():
+            cfg_path = str(tmp_path)
+        else:
+            cfg_path = write_config(tmp_path, edited_config(path, value))
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("disturbance", "terms"), [{"type": "polynomial", "coefficients": [1.0, -2.0, 0.5]}]),
+            (("disturbance", "terms"), [{"type": "exp_then_hold", "switch_time": 0.1}]),
+            (("initial", "observer0"), [0.1, -0.2, 3.0]),
+        ],
+        ids=["polynomial", "exp_then_hold", "observer0_list"],
+    )
+    def test_accepted_entries_run(self, tmp_path, path, value):
+        cfg_path = write_config(tmp_path, edited_config(path, value))
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 201  # header + floor(t_end/dt)+1 rows
+        assert all(math.isfinite(float(v)) for v in lines[-1].split(","))
+
+
 class TestOutputFiles:
     """Outputs are rewritten in place: never truncated to empty first."""
 

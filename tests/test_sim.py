@@ -23,7 +23,14 @@ from edo import (
 )
 from edo.errors import EmptyTrajectory, NonFinite
 from edo.sim import CHUNK, _basis, _block_steps, _step_maps, peaking_counterexample_norm
-from edo.synthesis import RegulatorSolution, _loop, assemble_edo, assemble_known_dynamics_observer, error_system
+from edo.synthesis import (
+    RegulatorSolution,
+    StabilizerGain,
+    _loop,
+    assemble_edo,
+    assemble_known_dynamics_observer,
+    error_system,
+)
 from edo.linalg import eigenvalues
 
 
@@ -291,6 +298,10 @@ def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
 
 def assert_matches_reference(design, cfg):
     p, exo, sg, rs, obs, fb = make_design(**design)
+    assert_run_matches_reference(p, obs, fb, rs, cfg)
+
+
+def assert_run_matches_reference(p, obs, fb, rs, cfg):
     x0 = np.linspace(0.5, -0.5, p.n)
     obs0 = np.zeros(obs.dim)
     tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
@@ -338,6 +349,20 @@ class TestReferenceStepper:
                         output_ramp=True)
         assert cfg.steps == steps
         self.assert_matches_reference("n3_m2", cfg)
+
+
+class TestOutputRow:
+    """The observer and the reported y see ``C x``, whatever the row C."""
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_non_unit_output_row_matches_reference(self, integrator):
+        # observable from y = 0.5 x1 + x2, and no transmission zero at 0
+        gp = GeneralPlant(A=[[0.0, -2.0], [1.0, -3.0]], B=[1.0, 0.0], C=[0.5, 1.0])
+        obs = assemble_known_dynamics_observer(gp, [[0.0]], [1.0], [-4.0, -4.0], [-1.0])
+        rs = RegulatorSolution(S=np.zeros((2, 1)), Q=obs.d_hat_row[2:])
+        fb = StabilizerGain(omega_c=1.0, F=np.array([-1.0, 0.5]), U=np.eye(2))
+        cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, output_ramp=True)
+        assert_run_matches_reference(gp, obs, fb, rs, cfg)
 
 
 class TestGuardAtChunkGranularity:
@@ -427,16 +452,14 @@ class TestStepMapBasis:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     def test_basis_matches_nested_stages(self, dim, integrator):
         p, exo, sg, rs, obs, fb = make_design(**BLOCK_DESIGNS[dim])
-        M0, col_y, meas_idx, col_d, _ = _loop(p, obs, fb, rs)
-        U = np.zeros_like(M0)
-        U[:, meas_idx] = col_y
+        M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
         rk4, dt = integrator == "rk4", 1e-3
         rng = np.random.default_rng(dim)
         ramp = rng.uniform(0.0, 1.0, 2 * CHUNK + 1)
         ramp[:7] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]  # whole steps at 0 and 1, and mixed
         d = rng.standard_normal(2 * CHUNK + 1)
         nu = rng.standard_normal(CHUNK)
-        Phi, g = _step_maps(*_basis(M0, col_y, meas_idx, col_d, dt, rk4), ramp, d, nu, rk4)
+        Phi, g = _step_maps(*_basis(M0, U, col_y, col_d, dt, rk4), ramp, d, nu, rk4)
         assert Phi.shape == (CHUNK, 1, dim, dim) and g.shape == (CHUNK, 1, dim)
         for k in range(CHUNK):
             A0, Am, A1 = (M0 + r * U for r in ramp[2 * k : 2 * k + 3])
@@ -452,10 +475,10 @@ class TestOverflowingChunkMaps:
         # chunk start is inf * 0 = NaN; the states are exactly zero
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 1e10, omega_c=10.0)
         cfg = SimConfig(t_end=0.05, dt=1e-4, output_ramp=True)
-        M0, col_y, meas_idx, col_d, _ = _loop(p, obs, fb, rs)
+        M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
         ramp = 1.0 - np.exp(-np.arange(2 * CHUNK + 1) * (cfg.dt / 2.0))
         zeros = np.zeros(2 * CHUNK + 1)
-        Phi, _ = _step_maps(*_basis(M0, col_y, meas_idx, col_d, cfg.dt, True), ramp, zeros, zeros[:CHUNK], True)
+        Phi, _ = _step_maps(*_basis(M0, U, col_y, col_d, cfg.dt, True), ramp, zeros, zeros[:CHUNK], True)
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.linalg.multi_dot(list(Phi[::-1, 0]))
         assert np.all(np.isfinite(Phi)) and not np.all(np.isfinite(total))

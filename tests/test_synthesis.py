@@ -11,6 +11,7 @@ from edo import (
     Constant,
     GainBase,
     GeneralPlant,
+    Plant,
     SimConfig,
     canonical_plant,
     evaluate,
@@ -27,11 +28,12 @@ from edo.errors import (
     NonHurwitzBase,
     NotDiagonalizable,
     NotObservablePair,
+    SingularSystem,
     SpectraOverlap,
 )
 from edo import cli
 from edo.linalg import eigenvalues
-from edo.plant import observability_matrix
+from edo.plant import observability_matrix, transmission_zero_holds
 from edo.synthesis import (
     RegulatorSolution,
     StabilizerGain,
@@ -127,6 +129,33 @@ class TestSolveRegulator:
         sg = schedule_gains(p, exo, GainBase(k=(-1.0, -2.0), p=(-1.0, -2.0)), 5.0)
         with pytest.raises(NotDiagonalizable):
             solve_regulator_spectral(p, exo, sg)
+
+    # b = (0, 1) puts a transmission zero at 0, an eigenvalue of every
+    # exosystem; b = (-1, 1) puts it at 1
+    @pytest.mark.parametrize(
+        "b, spectrum, p_base, zero",
+        [
+            ((0.0, 1.0), [], (-1.0,), 0.0),
+            ((0.0, 1.0), [2j, -2j], (-1.0, -3.0, -3.0), 0.0),
+            ((-1.0, 1.0), [1.0], (-1.0, -2.0), 1.0),
+        ],
+        ids=["zero_at_0", "zero_at_0_harmonic", "zero_at_1"],
+    )
+    def test_transmission_zero_on_exosystem_spectrum_named(self, b, spectrum, p_base, zero):
+        p = Plant(a=(0.5, 0.5), b=b)
+        assert not transmission_zero_holds(GeneralPlant(p.A, p.B, p.C), zero)
+        exo = exosystem_from_spectrum(spectrum)
+        sg = schedule_gains(p, exo, GainBase(k=(-1.0, -2.0), p=p_base), 10.0)
+        with pytest.raises(SingularSystem, match="plant transmission zero"):
+            solve_regulator(p, exo, sg)
+
+    def test_transmission_zero_off_exosystem_spectrum_designs(self):
+        p = Plant(a=(0.5, 0.5), b=(-1.0, 1.0))
+        assert transmission_zero_holds(GeneralPlant(p.A, p.B, p.C), 2.0)
+        exo = exosystem_from_spectrum([2.0])
+        sg = schedule_gains(p, exo, GainBase(k=(-1.0, -2.0), p=(-1.0, -2.0)), 10.0)
+        rs = solve_regulator(p, exo, sg)
+        assert max(regulator_residuals(p, exo, sg, rs)) < 1e-9
 
 
 def kron_regulator_system(A_inj, G, B, C, P_row):
