@@ -47,7 +47,8 @@ from . import linalg
 from .disturbance import Signal, evaluate
 from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite
 from .plant import Plant
-from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain, _loop, _power_schedule
+from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain
+from .synthesis import _bandwidth, _loop, _power_schedule
 
 __all__ = [
     "SimConfig",
@@ -86,10 +87,10 @@ class SimConfig:
     output_ramp: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= self.t_end):
-            raise ValueError("need 0 < dt <= t_end")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (0.0 < self.dt <= self.t_end < math.inf):
+            raise ValueError("need 0 < dt <= t_end < inf")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if not (-(2**63) <= int(self.seed) < 2**63):
@@ -363,17 +364,11 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     the table across bandwidths is the numerical signature that high gain
     absorbs a bounded unknown input.
     """
-    omegas = [float(w) for w in omegas]
-    if any(w <= 0.0 for w in omegas):
-        raise ValueError("bandwidths must be positive")
-    if len(base.k) != p.n:
-        raise DimensionMismatch(f"base length {len(base.k)} does not match plant order {p.n}")
     t_grid = np.asarray(t_grid, dtype=float)
     table = []
-    for w in omegas:
-        A_w = p.A + np.outer(_power_schedule(base.k, w, p.a), p.C)
-        # exp(w t) commutes into the exponential, avoiding tiny*huge overflow
-        shifted = A_w + w * np.eye(p.n)
+    for w in map(float, omegas):
+        # exp(w t) commutes into the exponential of A_w = A + K_w C, avoiding tiny*huge overflow
+        shifted = p.A + np.outer(_power_schedule(base.k, w, p.a), p.C) + w * np.eye(p.n)
         vals = [np.linalg.norm(linalg.expm(shifted * t) @ p.B) for t in t_grid]
         table.append((w, float(max(vals))))
     return table
@@ -386,9 +381,7 @@ def peaking_counterexample_norm(omega: float) -> float:
     norm grows without bound as the bandwidth increases even though every
     member is Hurwitz and controllable.
     """
-    w = float(omega)
-    if w <= 0.0:
-        raise ValueError("omega must be positive")
+    w = _bandwidth(omega)
     A_w = np.array([[0.0, 1.0], [-w * w, -2.0 * w]])
     B = np.array([1.0, 1.0])
     return float(np.linalg.norm(linalg.expm(A_w / w) @ B))

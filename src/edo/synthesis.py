@@ -97,24 +97,25 @@ def schedule_gains(p: Plant, exo: Exosystem, base: GainBase, omega_o: float) -> 
     so the scheduled companion matrices have spectra ``omega_o`` times the
     base spectra.
     """
-    n, mp1 = p.n, exo.dim
-    if len(base.k) != n or len(base.p) != mp1:
-        raise DimensionMismatch(
-            f"base sizes ({len(base.k)}, {len(base.p)}) do not fit plant order {n} "
-            f"and exosystem dimension {mp1}"
-        )
-    if omega_o <= 0.0:
-        raise ValueError("omega_o must be positive")
-    w = float(omega_o)
-    K = _power_schedule(base.k, w, p.a)
-    P = _power_schedule(base.p, w, (0.0,) + exo.g)
-    return ScheduledGains(omega_o=w, K_omega=K, P_omega=P)
+    K = _power_schedule(base.k, omega_o, p.a)
+    P = _power_schedule(base.p, omega_o, (0.0,) + exo.g)
+    return ScheduledGains(omega_o=float(omega_o), K_omega=K, P_omega=P)
 
 
-def _power_schedule(base, w: float, shift) -> np.ndarray:
+def _bandwidth(w) -> float:
+    if not 0.0 < float(w) < np.inf:
+        raise ValueError(f"bandwidth {float(w):g} is not positive and finite")
+    return float(w)
+
+
+def _power_schedule(base, w, shift) -> np.ndarray:
     """Gain ``base_j w^(s-j) - shift_j``, s = len(base); added to the coefficients
-    ``shift`` it gives the companion of ``base`` with its spectrum times ``w``."""
+    ``shift`` it gives the companion of ``base`` with its spectrum times ``w``.
+    Refuses ``len(shift) != s`` (DimensionMismatch) and a ``w`` not positive and finite (ValueError)."""
     s = len(base)
+    if len(shift) != s:
+        raise DimensionMismatch(f"base of length {s} does not fit the {len(shift)} coefficients it shifts")
+    w = _bandwidth(w)
     try:
         gains = np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
     except OverflowError:  # a Python-float power beyond the double range
@@ -192,7 +193,9 @@ def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
             ) from exc
         residual = np.abs(M @ sol - rhs).max()
         scale = np.abs(M).max() * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
-    if not np.isfinite(sol).all() or residual > 1e-6 * scale:
+    if not np.isfinite(sol).all():
+        raise Overflow(f"regulator solution overflows the double range (system entries up to {np.abs(M).max():g})")
+    if residual > 1e-6 * scale:
         raise SingularSystem(
             "regulator system is numerically singular; a plant transmission zero is near an exosystem eigenvalue"
         )
@@ -382,18 +385,14 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     ``spectrum(A + B F) = omega_c * roots(base)``.
     """
     k_ctrl = tuple(float(v) for v in k_ctrl)
-    if len(k_ctrl) != p.n:
-        raise DimensionMismatch(f"control base length {len(k_ctrl)} does not match order {p.n}")
+    K_c = _power_schedule(k_ctrl, omega_c, p.a)
     _check_hurwitz_base(k_ctrl, "control base")
-    if omega_c <= 0.0:
-        raise ValueError("omega_c must be positive")
     U = controllability_canonical_transform(p)
-    w = float(omega_c)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = _power_schedule(k_ctrl, w, p.a) @ U
+        F = K_c @ U
     if not np.isfinite(F).all():
-        raise Overflow(f"stabilizer gain at bandwidth {w:g} overflows the double range")
-    return StabilizerGain(omega_c=w, F=F, U=U)
+        raise Overflow(f"stabilizer gain at bandwidth {float(omega_c):g} overflows the double range")
+    return StabilizerGain(omega_c=float(omega_c), F=F, U=U)
 
 
 def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: RegulatorSolution):

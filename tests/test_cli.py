@@ -1,7 +1,9 @@
 import builtins
+import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -12,6 +14,7 @@ import pytest
 
 from edo import cli
 from edo.errors import ConfigError
+from edo.sim import Trajectory
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -155,6 +158,25 @@ class TestDesignCommand:
         assert f"synthesis error {message}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("omega_o", [1e80, 1e100])
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_overflowing_regulator_solution_exits_3(self, tmp_path, capsys, monkeypatch, command, omega_o):
+        # fig3 at a huge observer bandwidth: the regulator system's entries
+        # reach omega_o^2 and its solution grows like omega_o^(n+m) past the
+        # double range; the plant has no zeros, so this is no singularity
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig3"]))
+        cfg["gains"]["omega_o"] = omega_o
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert "synthesis error (Overflow): regulator solution overflows the double range" in err
+        assert "Traceback" not in err and "singular" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_high_order_plant_designs(self, tmp_path):
         # integrator chain of order 33 with every base root at -1: the
         # closed loop has 33 + 33 + 1 = 67 states
@@ -212,6 +234,16 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "r.csv"), "--svg", str(svg)])
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_constant_panels_get_a_unit_range(self):
+        # an all-zero run: every panel is flat and is drawn over [v - 1, v + 1]
+        rows = 5
+        zeros = np.zeros(rows)
+        tr = Trajectory(times=np.linspace(0.0, 1.0, rows), x=np.zeros((rows, 2)), x_hat=np.zeros((rows, 2)),
+                        v_hat=np.zeros((rows, 1)), d=zeros, d_hat=zeros, u=zeros, y=zeros)
+        buf = io.StringIO()
+        cli.write_svg(buf, tr)
+        assert buf.getvalue().count("range [-1, 1]") == 3
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, base_config())
@@ -562,3 +594,12 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "counterexample" in proc.stdout
+
+    def test_exit_code_reaches_the_interpreter(self, monkeypatch, capsys):
+        # the module runs in process here, so a refusal's exit code is seen
+        # on the SystemExit that __main__ raises
+        monkeypatch.setattr(sys, "argv", ["edo", "probe", "--omega", "0"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("edo", run_name="__main__")
+        assert exc.value.code == 2
+        assert "--omega values must be positive" in capsys.readouterr().err

@@ -53,6 +53,16 @@ class TestEvaluate:
             assert derivative(s, t) == pytest.approx(fd, abs=1e-6)
 
 
+class TestSum:
+    def test_nested_sums_are_flattened(self):
+        inner = Sum((Constant(1.0), Harmonic(1.0, 2.0, 0.0)))
+        assert Sum((inner, Constant(3.0))).terms == (Constant(1.0), Harmonic(1.0, 2.0, 0.0), Constant(3.0))
+
+    def test_non_signal_term_rejected(self):
+        with pytest.raises(TypeError, match="not a Signal: 2.0"):
+            Sum((Constant(1.0), 2.0))
+
+
 class TestSNorm:
     def test_constant(self):
         assert s_norm(Constant(-3.0)) == 3.0
@@ -223,6 +233,16 @@ class TestDecompose:
         assert with_mult.residual_s_norm == 0.0
         without = decompose(Sum((ramp,)), exosystem_from_spectrum([]))
         assert without.residual_s_norm == pytest.approx(1.0)
+
+    def test_ramp_is_residual_beside_a_harmonic_carrier(self):
+        # spectrum {0, +-1j}: g_1 = -1, so zero is a simple eigenvalue and a
+        # ramp is not modelled, while the matching harmonic is
+        exo = exosystem_from_spectrum([1j, -1j])
+        assert exo.g[0] != 0.0 and exo.zero_multiplicity == 1
+        dec = decompose(Sum((Polynomial((0.0, 1.0)), Harmonic(1.0, 1.0, 0.0))), exo)
+        assert dec.residual.terms == (Polynomial((0.0, 1.0)),) and dec.residual.terms[0].degree == 1
+        assert dec.modeled.terms == (Harmonic(1.0, 1.0, 0.0),)
+        assert dec.residual_s_norm == pytest.approx(1.0)
 
     def test_unmatched_quadratic_rejected(self):
         with pytest.raises(UnboundedDerivative):

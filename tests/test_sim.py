@@ -75,6 +75,16 @@ class TestSimulateBasics:
         tr = simulate(p, obs, fb, rs, Constant(0.0), SimConfig(t_end=0.2, dt=1e-3), [0.0, 0.0], np.zeros(3))
         assert tr.times.size == 201
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_end", np.inf), ("t_end", np.nan), ("dt", np.inf), ("dt", np.nan), ("noise_std", np.inf),
+         ("noise_std", np.nan)],
+    )
+    def test_non_finite_settings_refused(self, field, value):
+        # noise_std=nan used to run noise-free, and t_end=inf to fail in steps
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"t_end": 1.0, "dt": 1e-3, **{field: value}})
+
     def test_divergence_guard(self):
         # open loop with an unstable plant mode grows past the guard
         p, exo, sg, rs, obs, _ = make_design([2.0, 1.0], [], (-1.0,), 10.0)

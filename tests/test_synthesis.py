@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from edo import (
     canonical_plant,
     evaluate,
     exosystem_from_spectrum,
+    high_gain_probe,
     schedule_gains,
     simulate,
     solve_regulator,
@@ -34,6 +37,7 @@ from edo.errors import (
 from edo import cli
 from edo.linalg import eigenvalues
 from edo.plant import observability_matrix, transmission_zero_holds
+from edo.sim import peaking_counterexample_norm
 from edo.synthesis import (
     RegulatorSolution,
     StabilizerGain,
@@ -87,6 +91,38 @@ class TestScheduleGains:
         exo = exosystem_from_spectrum([10j, -10j])
         with pytest.raises(DimensionMismatch):
             schedule_gains(p, exo, GainBase(k=(-1.0, -2.0), p=(-1.0,)), 10.0)
+
+
+#: Each bandwidth schedule, called with a bandwidth and a gain base for the
+#: double integrator.
+SCHEDULES = {
+    "schedule_gains": lambda w, base: schedule_gains(canonical_plant([0.0, 0.0]), exosystem_from_spectrum([]), base, w),
+    "stabilizer_gain": lambda w, base: stabilizer_gain(canonical_plant([0.0, 0.0]), base.k, w),
+    "high_gain_probe": lambda w, base: high_gain_probe(base, canonical_plant([0.0, 0.0]), [w], [0.0, 1.0]),
+    "peaking_counterexample_norm": lambda w, base: peaking_counterexample_norm(w),
+}
+
+
+class TestBandwidthRule:
+    """A bandwidth must be positive and finite, and a base as long as the
+    coefficients it shifts, wherever a schedule is built."""
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("call", SCHEDULES)
+    def test_bad_bandwidth_raises_value_error(self, call, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                SCHEDULES[call](omega, GainBase(k=(-1.0, -2.0), p=(-1.0,)))
+
+    @pytest.mark.parametrize("call", ["schedule_gains", "stabilizer_gain", "high_gain_probe"])
+    def test_wrong_base_length_raises(self, call):
+        with pytest.raises(DimensionMismatch):
+            SCHEDULES[call](10.0, GainBase(k=(-1.0,), p=(-1.0,)))
+
+    def test_wrong_carrier_base_length_raises(self):
+        with pytest.raises(DimensionMismatch):
+            SCHEDULES["schedule_gains"](10.0, GainBase(k=(-1.0, -2.0), p=(-1.0, -2.0)))
 
 
 class TestSolveRegulator:
