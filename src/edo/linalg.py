@@ -23,9 +23,9 @@ __all__ = [
 HURWITZ_TOL = 1e-9
 
 
-def _as_square(M) -> np.ndarray:
+def _as_square(M, stack=False) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or (M.ndim > 2 and not stack) or M.shape[-1] != M.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {M.shape}")
     return M
 
@@ -50,9 +50,11 @@ def is_hurwitz(M) -> bool:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (degree-13 Pade core)."""
-    M = _as_square(M)
-    E = _expm_pade(M)
+    """Matrix exponential of a square matrix or of each in a stack ``(..., n, n)``
+    via scaling-and-squaring (degree-13 Pade core)."""
+    M = _as_square(M, stack=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _expm_pade(M)
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential overflowed the double range")
     return E

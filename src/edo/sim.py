@@ -37,6 +37,7 @@ seed, runs are bit-reproducible and safely parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .disturbance import Signal, evaluate
-from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite
+from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite, Overflow
 from .plant import Plant
 from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain
 from .synthesis import _bandwidth, _loop, _power_schedule
@@ -87,9 +88,10 @@ class SimConfig:
     output_ramp: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= self.t_end < math.inf):
+        # the largest double, not inf, so that an int beyond it is refused too
+        if not (0.0 < self.dt <= self.t_end <= sys.float_info.max):
             raise ValueError("need 0 < dt <= t_end < inf")
-        if not 0.0 <= self.noise_std < math.inf:
+        if not 0.0 <= self.noise_std <= sys.float_info.max:
             raise ValueError("noise_std must be nonnegative and finite")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
@@ -366,11 +368,11 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     """
     t_grid = np.asarray(t_grid, dtype=float)
     table = []
-    for w in map(float, omegas):
+    for w in map(_bandwidth, omegas):
         # exp(w t) commutes into the exponential of A_w = A + K_w C, avoiding tiny*huge overflow
         shifted = p.A + np.outer(_power_schedule(base.k, w, p.a), p.C) + w * np.eye(p.n)
-        vals = [np.linalg.norm(linalg.expm(shifted * t) @ p.B) for t in t_grid]
-        table.append((w, float(max(vals))))
+        E = linalg.expm(shifted * t_grid[:, None, None])
+        table.append((w, float(max(np.linalg.norm(e @ p.B) for e in E))))
     return table
 
 
@@ -379,9 +381,11 @@ def peaking_counterexample_norm(omega: float) -> float:
 
     The family is ``A_w = [[0, 1], [-w^2, -2w]]`` with ``B = (1, 1)``; the
     norm grows without bound as the bandwidth increases even though every
-    member is Hurwitz and controllable.
+    member is Hurwitz and controllable.  ``A_w / w`` has the double eigenvalue
+    -1, so ``exp(A_w / w) = e^-1 (2 I + A_w / w)`` by Cayley-Hamilton.
     """
     w = _bandwidth(omega)
-    A_w = np.array([[0.0, 1.0], [-w * w, -2.0 * w]])
-    B = np.array([1.0, 1.0])
-    return float(np.linalg.norm(linalg.expm(A_w / w) @ B))
+    norm = math.exp(-1.0) * math.hypot(2.0 + 1.0 / w, w)
+    if norm == math.inf:  # 1/w beyond the double range
+        raise Overflow(f"counterexample at bandwidth {w:g} overflows the double range")
+    return norm

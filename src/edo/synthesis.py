@@ -103,9 +103,13 @@ def schedule_gains(p: Plant, exo: Exosystem, base: GainBase, omega_o: float) -> 
 
 
 def _bandwidth(w) -> float:
-    if not 0.0 < float(w) < np.inf:
-        raise ValueError(f"bandwidth {float(w):g} is not positive and finite")
-    return float(w)
+    try:
+        w = float(w)
+    except OverflowError:  # an int beyond the double range
+        w = np.inf
+    if not 0.0 < w < np.inf:
+        raise ValueError(f"bandwidth {w:g} is not positive and finite")
+    return w
 
 
 def _power_schedule(base, w, shift) -> np.ndarray:
@@ -138,9 +142,7 @@ def _regulator_system(A_inj, G, B, C, P_row):
 
     ``sol`` stacks the columns of S (column-major vec) over Q.  Block
     (i, j) of the Sylvester part is ``delta_ij A_inj - G[j, i] I``; ``-B``
-    sits in column ``nS + i`` of block row i and C in row ``nS + i``.  The
-    zeros carry the signs of the Kronecker products ``0 * A_inj``,
-    ``G[j, i] * 0``, ``-(0 * B)`` and ``0 * C`` that spell the same system.
+    sits in column ``nS + i`` of block row i and C in row ``nS + i``.
     """
     n, d = A_inj.shape[0], G.shape[0]
     nS = n * d
@@ -148,15 +150,11 @@ def _regulator_system(A_inj, G, B, C, P_row):
     rhs = np.zeros(nS + d)
     blk, row = np.arange(d), np.arange(n)
     syl = M[:nS, :nS].reshape(d, n, d, n)  # syl[i, :, j, :] is block (i, j)
-    np.multiply(A_inj[:, None, :], 0.0, out=syl)
     syl[blk, :, blk, :] = A_inj
-    syl -= (G.T * 0.0)[:, None, :, None]
     syl[:, row, :, row] -= G.T
     inp = M[:nS, nS:].reshape(d, n, d)
-    np.multiply(B[:, None], -0.0, out=inp)
     inp[blk, :, blk] = -B
     out = M[nS:, :nS].reshape(d, d, n)
-    np.multiply(C, 0.0, out=out)
     out[blk, blk] = C
     rhs[nS:] = P_row
     return M, rhs

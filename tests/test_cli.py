@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -277,6 +278,26 @@ class TestSimulateCommand:
         with pytest.raises(ConfigError, match="finite"):
             cli.parse_config(cfg)
 
+    def test_tail_line_on_stdout(self, tmp_path, capsys):
+        cfg = base_config()
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        m = cli.metrics(cli.run_config(cli.parse_config(cfg)), cli.TAIL_FRACTION)
+        assert capsys.readouterr().out == (
+            f"tail [0.16, 0.2]: max |d-dhat| = {m.tail_max_dist_err:.6g}, "
+            f"max ||x-xhat|| = {m.tail_max_state_err:.6g}\n"
+        )
+
+    def test_divergence_exits_4_naming_the_time(self, tmp_path, capsys):
+        # RK4 is unstable at dt * omega_o = 10
+        cfg = base_config()
+        cfg["gains"]["omega_o"] = 1e4
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"divergence: state magnitude exceeded 1e\+12 at t=0\.\d+\n", captured.err)
+        assert not out.exists()
+
     def test_invalid_seed_env_exits_2(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, base_config())
         monkeypatch.setenv("EDO_SEED", "not-a-number")
@@ -345,6 +366,30 @@ CONFIG_REFUSALS = [
     pytest.param(("initial", "x0"), [0.0], "initial.x0 must match the plant order", id="x0_size"),
     pytest.param(("initial", "observer0"), [0.0, 0.0], "initial.observer0 must match the observer dimension",
                  id="observer0_size"),
+    pytest.param(("exosystem", "extra"), 1, "exosystem: unknown keys ['extra']", id="exosystem_unknown_key"),
+    pytest.param(("gains", "extra"), 1, "gains: unknown keys ['extra']", id="gains_unknown_key"),
+    pytest.param(("disturbance", "extra"), 1, "disturbance: unknown keys ['extra']", id="disturbance_unknown_key"),
+    pytest.param(("initial", "extra"), 1, "initial: unknown keys ['extra']", id="initial_unknown_key"),
+    *[
+        pytest.param(("disturbance", "terms"), [dict(term, extra=1)], "disturbance.terms: unknown keys ['extra']",
+                     id=f"{term['type']}_unknown_key")
+        for term in (
+            {"type": "constant", "value": 1.0},
+            {"type": "harmonic", "amplitude": 1.0, "frequency": 2.0},
+            {"type": "polynomial", "coefficients": [1.0]},
+            {"type": "exp_then_hold", "switch_time": 0.1},
+        )
+    ],
+    *[
+        pytest.param(("disturbance", "terms"), [term], f"disturbance.terms: missing keys ['{missing}']",
+                     id=f"{term['type']}_missing_key")
+        for term, missing in (
+            ({"type": "constant"}, "value"),
+            ({"type": "harmonic", "amplitude": 1.0, "phase": 0.0}, "frequency"),
+            ({"type": "polynomial"}, "coefficients"),
+            ({"type": "exp_then_hold"}, "switch_time"),
+        )
+    ],
     pytest.param(("EDO_SEED",), str(2**63), "EDO_SEED does not fit a 64-bit integer", id="edo_seed_range"),
     pytest.param((), None, "cannot read config", id="unreadable_config"),
 ]
@@ -573,6 +618,15 @@ class TestScenarioAndProbe:
         assert cli.main(["probe", "--omega", "1e200"]) == 3
         err = capsys.readouterr().err
         assert "synthesis error (Overflow)" in err and "Traceback" not in err
+
+    # exp(A_w t) overflows at 1e12; 1/w, in the counterexample, at 1e-310
+    @pytest.mark.parametrize("omega", ["1e12", "1e-310"])
+    def test_probe_overflow_exits_3_without_warnings(self, capsys, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["probe", "--omega", omega]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("synthesis error (Overflow)") and "Warning" not in err
 
     def test_probe_rejects_garbage(self):
         assert cli.main(["probe", "--omega", "ten"]) == 2

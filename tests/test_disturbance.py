@@ -196,6 +196,12 @@ class TestCachedMatrices:
         assert np.array_equal(exo.E, np.eye(exo.dim)[-1]) and np.array_equal(exo.B_d, np.eye(exo.dim)[0])
 
 
+class TestPolynomial:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="polynomial needs at least one coefficient"):
+            Polynomial(())
+
+
 class TestDecompose:
     def test_exact_dynamics_full_match(self):
         exo = exosystem_from_spectrum([10j, -10j])
@@ -213,12 +219,19 @@ class TestDecompose:
         assert dec.residual_s_norm == pytest.approx(10.0)
 
     def test_pointwise_identity(self, rng):
-        d = Sum((Harmonic(0.8, 4.0, 0.3), Harmonic(1.5, 10.0, 0.0), Constant(-2.0)))
+        # the second and third signals have residual terms that are non-zero
+        # at t = 0, so the identity needs the constant shift on both sides
+        signals = [
+            Sum((Harmonic(0.8, 4.0, 0.3), Harmonic(1.5, 10.0, 0.0), Constant(-2.0))),
+            Sum((Harmonic(0.8, 4.0, 0.3), Harmonic(1.0, 3.0, 0.7), Constant(-2.0))),
+            Sum((Harmonic(0.8, 4.0, 0.3), ExpThenHold(1.0))),
+        ]
         exo = exosystem_from_spectrum([4j, -4j])
-        dec = decompose(d, exo)
         t = rng.uniform(0.0, 10.0, 1000)
-        total = evaluate(dec.modeled, t) + evaluate(dec.residual, t)
-        assert np.abs(total - evaluate(d, t)).max() < 1e-12
+        for d in signals:
+            dec = decompose(d, exo)
+            total = evaluate(dec.modeled, t) + evaluate(dec.residual, t)
+            assert np.abs(total - evaluate(d, t)).max() < 1e-12
 
     def test_residual_starts_at_zero_exactly(self):
         # phase-shifted sine has nonzero value at t = 0; the split moves

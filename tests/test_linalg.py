@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,28 @@ class TestExpm:
             assert np.abs(P - np.eye(n)).max() < 1e-10
 
     def test_overflow_detected(self):
-        with pytest.raises(Overflow), np.errstate(over="ignore"):
-            linalg.expm(np.array([[1e4]]))
+        # raised by the finiteness check, with no floating-point warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                linalg.expm(np.array([[1e4]]))
+
+    def test_stack_matches_each_matrix(self, rng):
+        for n in range(1, 6):
+            M = rng.standard_normal((n, n)) * 5.0
+            stack = M * np.linspace(0.0, 1.0, 21)[:, None, None]
+            E = linalg.expm(stack)
+            assert E.shape == stack.shape
+            for S, E_s in zip(stack, E):
+                assert np.array_equal(E_s, linalg.expm(S))
+            assert np.array_equal(linalg.expm(stack.reshape(3, 7, n, n)), E.reshape(3, 7, n, n))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(NonSquare):
+            linalg.expm(np.zeros(shape))
+
+    def test_eigenvalues_refuse_a_stack(self):
+        with pytest.raises(NonSquare):
+            linalg.eigenvalues(np.zeros((2, 3, 3)))
 

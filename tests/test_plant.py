@@ -21,6 +21,26 @@ def double_integrator_example():
     return GeneralPlant(A=[[0.0, 1.0], [0.0, 0.0]], B=[0.0, 1.0], C=[1.0, -1.0])
 
 
+#: Library refusals of this module: (call, exception, what the message says).
+REFUSALS = {
+    "b_longer_than_a": (lambda: Plant(a=(1.0,), b=(1.0, 0.0)), ValueError, "a and b must have equal length"),
+    "b_shorter_than_a": (lambda: Plant(a=(1.0, 2.0), b=(1.0,)), ValueError, "a and b must have equal length"),
+    "b_zero": (lambda: Plant(a=(1.0, 2.0), b=(0.0, -0.0)), ValueError, "must not be identically zero"),
+    "A_not_square": (lambda: GeneralPlant(A=np.zeros((2, 3)), B=[1.0, 0.0], C=[0.0, 1.0]), ValueError,
+                     "A must be square"),
+    "B_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0], C=[0.0, 1.0]), ValueError, "B and C must match"),
+    "C_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0, 0.0], C=[0.0, 1.0, 0.0]), ValueError,
+               "B and C must match"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusal(name):
+    call, exc, message = REFUSALS[name]
+    with pytest.raises(exc, match=message):
+        call()
+
+
 class TestCanonicalPlant:
     def test_second_order(self):
         p = canonical_plant([2.0, 1.0])

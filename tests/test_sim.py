@@ -21,7 +21,8 @@ from edo import (
     solve_regulator,
     stabilizer_gain,
 )
-from edo.errors import EmptyTrajectory, NonFinite
+from edo import linalg
+from edo.errors import DimensionMismatch, EmptyTrajectory, NonFinite
 from edo.sim import CHUNK, _basis, _block_steps, _step_maps, peaking_counterexample_norm
 from edo.synthesis import (
     RegulatorSolution,
@@ -78,10 +79,12 @@ class TestSimulateBasics:
     @pytest.mark.parametrize(
         "field, value",
         [("t_end", np.inf), ("t_end", np.nan), ("dt", np.inf), ("dt", np.nan), ("noise_std", np.inf),
-         ("noise_std", np.nan)],
+         ("noise_std", np.nan), pytest.param("t_end", 10**400, id="t_end-huge_int"),
+         pytest.param("noise_std", 10**400, id="noise_std-huge_int")],
     )
     def test_non_finite_settings_refused(self, field, value):
-        # noise_std=nan used to run noise-free, and t_end=inf to fail in steps
+        # noise_std=nan used to run noise-free, and t_end=inf to fail in
+        # steps, as an int beyond the double range did in float()
         with pytest.raises(ValueError, match=field):
             SimConfig(**{"t_end": 1.0, "dt": 1e-3, **{field: value}})
 
@@ -552,3 +555,42 @@ class TestHighGainProbe:
 
     def test_counterexample_value_at_ten(self):
         assert peaking_counterexample_norm(10.0) == pytest.approx(np.exp(-1.0) * np.sqrt(2.1**2 + 100.0), rel=1e-9)
+
+    @pytest.mark.parametrize("omega", np.logspace(-3.0, 6.0, 10))
+    def test_counterexample_matches_matrix_exponential(self, omega):
+        A_w = np.array([[0.0, 1.0], [-omega * omega, -2.0 * omega]])
+        want = np.linalg.norm(linalg.expm(A_w / omega) @ np.array([1.0, 1.0]))
+        assert peaking_counterexample_norm(omega) == pytest.approx(want, rel=1e-9)
+
+    def test_one_exponential_per_bandwidth(self, monkeypatch):
+        shapes = []
+        expm = linalg.expm
+        monkeypatch.setattr(linalg, "expm", lambda M: shapes.append(np.shape(M)) or expm(M))
+        base = GainBase(k=(-1.0, -2.0), p=(-1.0,))
+        high_gain_probe(base, canonical_plant([0.0, 0.0]), [5.0, 10.0, 20.0], np.linspace(0, 1, 21))
+        assert shapes == [(21, 2, 2)] * 3
+        peaking_counterexample_norm(10.0)
+        assert len(shapes) == 3
+
+
+def short_run(x0=(0.0, 1.0), obs0=(0.0, 0.0, 0.0)):
+    p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+    return simulate(p, obs, fb, rs, Constant(0.0), SimConfig(0.1, 0.01), x0, obs0)
+
+
+#: Library refusals of this module: (call, exception, what the message says).
+REFUSALS = {
+    "seed_above_int64": (lambda: SimConfig(1.0, 0.1, seed=2**63), ValueError, "seed must fit a 64-bit integer"),
+    "seed_below_int64": (lambda: SimConfig(1.0, 0.1, seed=-(2**63) - 1), ValueError, "seed must fit"),
+    "x0_size": (lambda: short_run(x0=[0.0]), DimensionMismatch, "initial states do not match"),
+    "observer0_size": (lambda: short_run(obs0=np.zeros(4)), DimensionMismatch, "initial states"),
+    "tail_fraction_zero": (lambda: metrics(short_run(), 0.0), ValueError, "tail_fraction must lie in"),
+    "tail_fraction_one": (lambda: metrics(short_run(), 1.0), ValueError, "tail_fraction must lie in"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusal(name):
+    call, exc, message = REFUSALS[name]
+    with pytest.raises(exc, match=message):
+        call()

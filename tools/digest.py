@@ -11,7 +11,9 @@ imported and not modified.  The groups are:
   of S, Q and the closed-loop drift) and the sweep's ``high_gain_probe`` tables;
 * ``sim_grid``: the 36 pooled ``sim_grid`` cases (trajectory bytes, or the
   divergence message);
-* ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``.
+* ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``;
+* ``simulate``: the stdout and CSV of ``edo simulate`` on fig4 cut to the
+  bench's 0.5 s (``workloads.preset_config``).
 """
 
 from __future__ import annotations
@@ -100,7 +102,17 @@ def probe(work):
     return h
 
 
-GROUPS = (scenarios, design, sweep, sim_grid, probe)
+def simulate(work):
+    h = hashlib.sha256()
+    config, out = os.path.join(work, "fig4_cut.json"), os.path.join(work, "fig4_cut.csv")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(workloads.preset_config("fig4"), fh)
+    run_cli(h, ["simulate", "--config", config, "--out", out])
+    feed_files(h, work, ["fig4_cut.csv"])
+    return h
+
+
+GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate)
 
 
 def main():
