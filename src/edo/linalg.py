@@ -6,6 +6,8 @@ functions are pure and operate on plain ``numpy`` arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm as _expm_pade
 
@@ -17,6 +19,8 @@ __all__ = [
     "expm",
     "companion_from_last_row",
     "read_only",
+    "as_float",
+    "finite_floats",
 ]
 
 #: Margin on the real axis for Hurwitz classification.
@@ -76,3 +80,19 @@ def read_only(M) -> np.ndarray:
     """``M`` itself, marked read-only so a cached matrix cannot be edited in place."""
     M.flags.writeable = False
     return M
+
+
+def as_float(v) -> float:
+    """``float(v)``, with an int beyond the double range read as inf of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def finite_floats(values, what: str) -> tuple:
+    """``values`` as a tuple of floats; refuses (ValueError) any that is not finite."""
+    values = tuple(map(as_float, values))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values

@@ -54,8 +54,8 @@ class Plant:
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
+        object.__setattr__(self, "a", linalg.finite_floats(self.a, "plant a"))
+        object.__setattr__(self, "b", linalg.finite_floats(self.b, "plant b"))
         if len(self.a) == 0:
             raise EmptyCoefficients("plant needs at least one coefficient")
         if len(self.b) != len(self.a):

@@ -19,19 +19,23 @@ values at the step's start, midpoint and end, with 12 monomials and
 constant coefficient matrices (2 for Euler); ``g`` is also linear in the
 step's forcing samples.  The coefficients are built once per run by the
 RK4 stage recursion on coefficient stacks, and a block of steps then needs
-one matrix product for its ``Phi`` and one for its ``g``.
+one matrix product for its maps.
 
-The maps are run by a reduce-carry-sweep scan (after Blelloch, "Prefix sums
-and their applications", CMU-CS-90-190) over blocks of chunks of ``CHUNK``
-steps.  A block holds at most ``BLOCK_DOUBLES`` doubles of maps, so its
-length depends on the state dimension alone.  Within a block a pairwise
-tree reduces each chunk to its total affine map, the chunk start states
-are carried from one chunk to the next, and then all chunks step from
-their starts in lockstep, one batched matrix-vector product per position.
-The divergence guard is checked once per block but reports the exact first
-grid point beyond it.  Chunk and block sizes are fixed or derived from the
-dimension, so everything is a pure function of its inputs including the
-seed, runs are bit-reproducible and safely parallel.
+In homogeneous coordinates, with the state z written as ``(z, 1)``, a
+step is the matrix ``[[Phi_k, g_k], [0, 1]]`` and a run of steps is a
+product of matrices.  The steps are run by a work-efficient scan (Blelloch,
+"Prefix sums and their applications", CMU-CS-90-190; Kogge and Stone, IEEE
+Trans. Computers C-22, 1973) over blocks whose maps hold at most
+``BLOCK_DOUBLES`` doubles, so that a block's length depends on the state
+dimension alone.  The up-sweep pairs adjacent maps level by level until it
+reaches the block's total map; the down-sweep then fills in the states from
+the coarsest stride down, one batched matrix-vector product per level.  A
+long product of very unstable step maps can overflow where the states do
+not (inf * 0 on a zero state), so a block whose first row beyond the guard
+is not finite is swept again one step at a time from its start before the
+guard reports.  The divergence guard is checked once per block but reports
+the exact first grid point beyond it.  Everything is a pure function of its
+inputs including the seed, so runs are bit-reproducible and safely parallel.
 """
 
 from __future__ import annotations
@@ -66,13 +70,9 @@ DIVERGENCE_GUARD = 1e12
 
 INTEGRATORS = ("rk4", "euler")
 
-#: Steps per chunk of the integration kernel.  Fixed, not derived from
-#: the host, so the order of the arithmetic and every output byte of a
-#: run are the same from run to run.
-CHUNK = 16
-
-#: Doubles of step maps a block of chunks holds at most: the number of
-#: chunks in a block depends only on the state dimension.
+#: Doubles of step maps a block holds at most.  Fixed, not derived from the
+#: host: a block's length, and so the order of the arithmetic and every
+#: output byte of a run, depend only on the state dimension.
 BLOCK_DOUBLES = 32768
 
 
@@ -95,7 +95,13 @@ class SimConfig:
             raise ValueError("noise_std must be nonnegative and finite")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if not (-(2**63) <= int(self.seed) < 2**63):
+        try:
+            seed = int(self.seed)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+            seed = None
+        if seed != self.seed:
+            raise ValueError("seed must be an integer")
+        if not -(2**63) <= seed < 2**63:
             raise ValueError("seed must fit a 64-bit integer")
 
     @property
@@ -153,62 +159,61 @@ def simulate(
     dt = cfg.dt
     dim = M0.shape[0]
     try:
-        # the final block is padded to whole chunks: the samples and rows
-        # past the run are computed and cut off below
-        Z = np.empty((N + CHUNK, dim))
-        half_times = np.arange(2 * (N + CHUNK) - 1) * (dt / 2.0)
+        Z = np.empty((N + 1, dim + 1))  # the states in homogeneous coordinates
+        half_times = np.arange(2 * N + 1) * (dt / 2.0)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
-    times = half_times[: 2 * N + 1 : 2]
+    times = half_times[::2]
 
     d_half = np.asarray(evaluate(d, half_times), dtype=float)
-    if cfg.output_ramp:
-        ramp_half = 1.0 - np.exp(-half_times)
-    else:
-        ramp_half = np.ones(len(half_times))
-    noise = np.zeros(N + CHUNK)
+    ramp_half = 1.0 - np.exp(-half_times) if cfg.output_ramp else np.ones(len(half_times))
+    noise = np.zeros(N + 1)
     if cfg.noise_std > 0.0:
-        noise[: N + 1] = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal(N + 1)
+        # the residue keeps every nonnegative seed's stream and runs the negative ones
+        noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
 
-    Z[0] = np.concatenate([x0, z_obs0])
+    Z[0] = np.concatenate([x0, z_obs0, [1.0]])
     rk4 = cfg.integrator == "rk4"
-    block = _block_steps(dim)
     # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        K, Kg = _basis(M0, U, col_y, col_d, dt, rk4)
+        H = _homogeneous(*_basis(M0, U, col_y, col_d, dt, rk4))
+        block = _block_steps(dim)
         for k0 in range(0, N, block):
             k1 = min(k0 + block, N)
-            L = -(-(k1 - k0) // CHUNK) * CHUNK  # whole chunks
-            j = slice(2 * k0, 2 * (k0 + L) + 1)
-            Phi, g = _step_maps(K, Kg, ramp_half[j], d_half[j], noise[k0 : k0 + L], rk4)
-            _scan(Phi, g, Z[k0 : k0 + L + 1])
-            rows = np.abs(Z[k0 : k1 + 1])
-            # written so that a NaN state trips the guard too
-            if not rows.max() <= DIVERGENCE_GUARD:
-                k = k0 + int((~(rows.max(axis=1) <= DIVERGENCE_GUARD)).argmax())
-                raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k]:.6g}")
+            j = slice(2 * k0, 2 * k1 + 1)
+            maps = (H, ramp_half[j], d_half[j], noise[k0:k1], rk4)
+            rows = Z[k0 : k1 + 1]
+            _scan(_step_maps(*maps), rows)
+            bad = _first_bad(rows)
+            if bad is not None and not np.isfinite(rows[bad]).all():
+                # overflowed in a long product: step the block from its start
+                for k, A in enumerate(_step_maps(*maps)):
+                    rows[k + 1] = A @ rows[k]
+                bad = _first_bad(rows)
+            if bad is not None:
+                raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
 
-    Z = Z[: N + 1]
-    x = Z[:, :n]
-    x_hat = Z[:, n : 2 * n]
-    v_hat = Z[:, 2 * n :]
+    x, z_obs = Z[:, :n], Z[:, n:dim]
     return Trajectory(
-        times=times,
-        x=x,
-        x_hat=x_hat,
-        v_hat=v_hat,
-        d=d_half[: 2 * N + 1 : 2],
-        d_hat=Z[:, n:] @ obs.d_hat_row,
-        u=Z[:, n:] @ F_aug,
-        y=ramp_half[: 2 * N + 1 : 2] * (x @ p.C) + noise[: N + 1],
+        times=times, x=x, x_hat=Z[:, n : 2 * n], v_hat=Z[:, 2 * n : dim], d=d_half[::2],
+        d_hat=z_obs @ obs.d_hat_row, u=z_obs @ F_aug, y=ramp_half[::2] * (x @ p.C) + noise,
     )
 
 
 def _block_steps(dim):
-    """Steps per block: whole chunks whose maps hold at most ``BLOCK_DOUBLES``
-    doubles, and at least one chunk."""
-    return max(1, BLOCK_DOUBLES // (CHUNK * dim * dim)) * CHUNK
+    """Steps per block: as many as hold at most ``BLOCK_DOUBLES`` doubles of
+    maps of ``dim`` states in homogeneous coordinates, and at least one."""
+    return max(1, BLOCK_DOUBLES // (dim + 1) ** 2)
+
+
+def _first_bad(rows):
+    """Index of the first row beyond ``DIVERGENCE_GUARD`` or not finite, or None."""
+    rows = np.abs(rows)
+    # written so that a NaN state trips the guard too
+    if rows.max() <= DIVERGENCE_GUARD:
+        return None
+    return int((~(rows.max(axis=1) <= DIVERGENCE_GUARD)).argmax())
 
 
 def _basis(M0, U, col_y, col_d, dt, rk4):
@@ -254,73 +259,61 @@ def _basis(M0, U, col_y, col_d, dt, rk4):
     return K.reshape(12, -1), Kg.reshape(24, dim)
 
 
-def _step_maps(K, Kg, ramp, d, noise, rk4):
-    """Step maps ``(Phi, g)`` of a block of whole chunks, indexed
-    ``[position in chunk, chunk]``; ``ramp`` and ``d`` hold the block's
-    half-grid samples, ``noise`` one draw per step.  The weights of the
-    basis of ``_basis`` are the monomials ``w`` in the ramp values and, for
-    ``g``, the forcing times the monomials free of ``r0``."""
-    nc = len(noise) // CHUNK
+def _homogeneous(K, Kg):
+    """The basis ``(K, Kg)`` of ``_basis`` as one stack of matrices
+    ``[[K_i, 0], [0, 0]]`` and ``[[0, Kg_i], [0, 0]]`` of homogeneous coordinates."""
     dim = Kg.shape[1]
+    H = np.zeros((len(K) + len(Kg), dim + 1, dim + 1))
+    H[: len(K), :dim, :dim] = K.reshape(-1, dim, dim)
+    H[len(K) :, :dim, dim] = Kg
+    return H
 
-    def by_position(x):
-        return x.reshape(nc, CHUNK).T
 
-    r0, rm, r1 = (by_position(ramp[i : len(ramp) - 2 + i : 2]) for i in range(3))
-    f = np.stack([by_position(noise)] + [by_position(d[i : len(d) - 2 + i : 2]) for i in range(3)], axis=-1)
+def _step_maps(H, ramp, d, noise, rk4):
+    """Step maps ``[[Phi, g], [0, 1]]`` of a block, in step order; ``ramp``
+    and ``d`` hold the block's half-grid samples, ``noise`` one draw per
+    step.  The weights of the basis ``H`` are the monomials in the ramp
+    values and, for ``g``, the forcing times the monomials free of ``r0``."""
+    steps, size = len(noise), H.shape[-1]
+    r0, rm, r1 = ramp[0:-2:2], ramp[1:-1:2], ramp[2::2]
+    f = np.stack([noise, d[0:-2:2], d[1:-1:2], d[2::2]], axis=-1)
+    W = np.empty((steps, len(H)))
+    W[:, 0] = 1.0
     if rk4:
-        w = np.empty((CHUNK, nc, 12))
-        w[..., 0] = 1.0
-        w[..., 2] = rm
-        w[..., 4] = rm * rm
-        w[..., 1:6:2] = w[..., 0:6:2] * r0[..., None]
-        w[..., 6:] = w[..., :6] * r1[..., None]
-        wg = w[..., 0::2, None] * f[..., None, :]
+        W[:, 2] = rm
+        W[:, 4] = rm * rm
+        W[:, 1:6:2] = W[:, 0:6:2] * r0[:, None]
+        W[:, 6:12] = W[:, :6] * r1[:, None]
+        W[:, 12:] = (W[:, 0:12:2, None] * f[:, None, :]).reshape(steps, -1)
     else:
-        w = np.stack([np.ones_like(r0), r0], axis=-1)
-        wg = f[..., :2]
-    Phi = w.reshape(nc * CHUNK, -1) @ K
+        W[:, 1] = r0
+        W[:, 2:] = f[:, :2]
+    A = W @ H.reshape(len(H), -1)
     # the identity comes last, as in the stage formula: summed in with
     # the basis it would round Phi - I at the scale of I once per term
-    Phi[:, :: dim + 1] += 1.0
-    g = wg.reshape(nc * CHUNK, -1) @ Kg
-    return Phi.reshape(CHUNK, nc, dim, dim), g.reshape(CHUNK, nc, dim)
+    A[:, :: size + 1] += 1.0
+    return A.reshape(steps, size, size)
 
 
-def _matvec(P, v):
-    return (P @ v[..., None])[..., 0]
+def _scan(A, Zb):
+    """Run the step maps of a block from ``Zb[0]``: ``Zb[k + 1] = A[k] Zb[k]``.
 
-
-def _scan(Phi, g, Zb):
-    """Run the step maps of a block from ``Zb[0]``: ``Zb[1 + c * CHUNK + j]``
-    becomes the state after the step of ``Phi[j, c]``, ``g[j, c]``.
-
-    Reduce: each chunk's total affine map, by a pairwise tree.  Carry: the
-    chunk start states, one matvec per chunk.  Sweep: all chunks step in
-    lockstep from their starts, one batched matvec per position.  A chunk
-    total that overflows can make a carried start non-finite even where
-    the states are not (inf * 0 on a zero state); from the first such
-    chunk the sweep goes one chunk at a time, from the state swept before.
+    Up-sweep, in place: at strides s = 1, 2, 4, ... the map that ends at
+    each multiple of 2s takes in the map of the s steps before it, so that
+    ``A[k]`` ends as the map from state ``k + 1 - s`` to ``k + 1``, s the
+    largest power of two dividing ``k + 1``.  Down-sweep: from the largest
+    such s down to 1, the states at the odd multiples of s follow from the
+    states s steps before them, one batched matrix-vector product per stride.
     """
-    nc = Phi.shape[1]
-    dim = Zb.shape[1]
-    S = Zb[:-1].reshape(nc, CHUNK, dim)  # S[c, 0]: the start of chunk c
-    T = Zb[1:].reshape(nc, CHUNK, dim)  # T[c, j]: the state after its step j
-    P, q = Phi, g
-    while len(P) > 1:
-        q = _matvec(P[1::2], q[0::2]) + q[1::2]
-        P = P[1::2] @ P[0::2]
-    P, q = P[0], q[0]
-    for c in range(nc - 1):
-        S[c + 1, 0] = P[c] @ S[c, 0] + q[c]
-    finite = np.isfinite(S[:, 0]).all(axis=1)
-    first_bad = nc if finite.all() else int(finite.argmin())
-    for chunks in [slice(0, first_bad)] + [slice(c, c + 1) for c in range(first_bad, nc)]:
-        z = S[chunks, 0]
-        for j in range(CHUNK):
-            z = _matvec(Phi[j, chunks], z)
-            z += g[j, chunks]
-            T[chunks, j] = z
+    L = len(A)
+    s = 1
+    while 2 * s <= L:
+        end = L - L % (2 * s)
+        A[2 * s - 1 : end : 2 * s] = A[2 * s - 1 : end : 2 * s] @ A[s - 1 : end : 2 * s]
+        s *= 2
+    while s:
+        Zb[s :: 2 * s] = (A[s - 1 :: 2 * s] @ Zb[: L + 1 - s : 2 * s, :, None])[..., 0]
+        s //= 2
 
 
 @dataclass(frozen=True)

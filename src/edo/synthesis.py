@@ -67,8 +67,8 @@ class GainBase:
     p: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        object.__setattr__(self, "k", linalg.finite_floats(self.k, "base k"))
+        object.__setattr__(self, "p", linalg.finite_floats(self.p, "base p"))
         if not self.k or not self.p:
             raise DimensionMismatch("gain base vectors must be non-empty")
         _check_hurwitz_base(self.k, "base k")
@@ -103,10 +103,7 @@ def schedule_gains(p: Plant, exo: Exosystem, base: GainBase, omega_o: float) -> 
 
 
 def _bandwidth(w) -> float:
-    try:
-        w = float(w)
-    except OverflowError:  # an int beyond the double range
-        w = np.inf
+    w = linalg.as_float(w)
     if not 0.0 < w < np.inf:
         raise ValueError(f"bandwidth {w:g} is not positive and finite")
     return w
@@ -382,7 +379,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     canonical transform U gives ``F = K_c U`` with
     ``spectrum(A + B F) = omega_c * roots(base)``.
     """
-    k_ctrl = tuple(float(v) for v in k_ctrl)
+    k_ctrl = linalg.finite_floats(k_ctrl, "control base")
     K_c = _power_schedule(k_ctrl, omega_c, p.a)
     _check_hurwitz_base(k_ctrl, "control base")
     U = controllability_canonical_transform(p)

@@ -258,6 +258,19 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", write_config(tmp_path, cfg, "cfg2.json"), "--out", str(out_direct)])
         assert out_env.read_bytes() == out_direct.read_bytes()
 
+    def test_negative_seed_env_override_runs(self, tmp_path, monkeypatch):
+        # fig4 is the noisy scenario: EDO_SEED=-5 draws its noise like seed -5
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig4"]))
+        cfg["sim"]["t_end"] = 0.05
+        out_env = tmp_path / "env.csv"
+        monkeypatch.setenv("EDO_SEED", "-5")
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out_env)]) == 0
+        monkeypatch.delenv("EDO_SEED")
+        cfg["sim"]["seed"] = -5
+        out_direct = tmp_path / "direct.csv"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg, "cfg2.json"), "--out", str(out_direct)]) == 0
+        assert out_env.read_bytes() == out_direct.read_bytes()
+
     @pytest.mark.parametrize(
         "literal",
         ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
@@ -417,8 +430,11 @@ class TestConfigRefusals:
             (("disturbance", "terms"), [{"type": "polynomial", "coefficients": [1.0, -2.0, 0.5]}]),
             (("disturbance", "terms"), [{"type": "exp_then_hold", "switch_time": 0.1}]),
             (("initial", "observer0"), [0.1, -0.2, 3.0]),
+            # a negative seed draws the stream of its residue mod 2^64
+            (("sim", "seed"), -1),
+            (("sim", "seed"), -(2**63)),
         ],
-        ids=["polynomial", "exp_then_hold", "observer0_list"],
+        ids=["polynomial", "exp_then_hold", "observer0_list", "seed_minus_one", "seed_int64_min"],
     )
     def test_accepted_entries_run(self, tmp_path, path, value):
         cfg_path = write_config(tmp_path, edited_config(path, value))

@@ -26,6 +26,12 @@ REFUSALS = {
     "b_longer_than_a": (lambda: Plant(a=(1.0,), b=(1.0, 0.0)), ValueError, "a and b must have equal length"),
     "b_shorter_than_a": (lambda: Plant(a=(1.0, 2.0), b=(1.0,)), ValueError, "a and b must have equal length"),
     "b_zero": (lambda: Plant(a=(1.0, 2.0), b=(0.0, -0.0)), ValueError, "must not be identically zero"),
+    # one finiteness rule, an int beyond the double range read as inf
+    "a_nan": (lambda: Plant(a=(float("nan"), 1.0), b=(1.0, 0.0)), ValueError, r"plant a must be finite, got \(nan"),
+    "b_nan": (lambda: Plant(a=(1.0,), b=(float("nan"),)), ValueError, "plant b must be finite"),
+    "a_inf": (lambda: Plant(a=(float("-inf"),), b=(1.0,)), ValueError, r"plant a must be finite, got \(-inf,\)"),
+    "a_huge_int": (lambda: Plant(a=(10**400,), b=(1.0,)), ValueError, r"plant a must be finite, got \(inf,\)"),
+    "b_huge_negative_int": (lambda: Plant(a=(1.0,), b=(-(10**400),)), ValueError, r"plant b must be finite, got \(-inf"),
     "A_not_square": (lambda: GeneralPlant(A=np.zeros((2, 3)), B=[1.0, 0.0], C=[0.0, 1.0]), ValueError,
                      "A must be square"),
     "B_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0], C=[0.0, 1.0]), ValueError, "B and C must match"),

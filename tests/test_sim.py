@@ -23,7 +23,7 @@ from edo import (
 )
 from edo import linalg
 from edo.errors import DimensionMismatch, EmptyTrajectory, NonFinite
-from edo.sim import CHUNK, _basis, _block_steps, _step_maps, peaking_counterexample_norm
+from edo.sim import _basis, _block_steps, _homogeneous, _step_maps, peaking_counterexample_norm
 from edo.synthesis import (
     RegulatorSolution,
     StabilizerGain,
@@ -101,6 +101,19 @@ class TestSimulateBasics:
         with pytest.raises(NonFinite, match=r"at t=0$"):
             simulate(p, obs, fb, rs, Constant(0.0), cfg, [np.nan, 0.0], np.zeros(3))
 
+    @pytest.mark.parametrize("state", ["x0", "observer0"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_nan_initial_state_trips_at_zero(self, state, integrator):
+        # a first bad row that is not finite sends its block through the
+        # step-by-step sweep, which must still report row 0
+        p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        x0, obs0 = np.zeros(2), np.zeros(3)
+        {"x0": x0, "observer0": obs0}[state][1] = np.nan
+        cfg = SimConfig(t_end=3.0, dt=1e-3, integrator=integrator, output_ramp=True)
+        assert cfg.steps > _block_steps(5)
+        with pytest.raises(NonFinite, match=r"at t=0$"):
+            simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+
     def test_determinism_bytes(self):
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
         cfg = SimConfig(t_end=0.5, dt=1e-3, noise_std=0.01, seed=42)
@@ -110,6 +123,16 @@ class TestSimulateBasics:
         ]
         for field in ("times", "x", "x_hat", "v_hat", "d", "d_hat", "u", "y"):
             assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+
+    @pytest.mark.parametrize("seed", [7, -1, -(2**63)])
+    def test_noise_stream_of_the_seed(self, seed):
+        # an open loop from rest: x stays 0 and y is the noise alone, drawn
+        # from the seed's residue mod 2^64, so seed 7 keeps its stream
+        p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        cfg = SimConfig(t_end=0.5, dt=1e-3, noise_std=0.01, seed=seed)
+        tr = simulate(p, obs, None, rs, Constant(0.0), cfg, [0.0, 0.0], np.zeros(3))
+        want = 0.01 * np.random.default_rng(seed % 2**64).standard_normal(cfg.steps + 1)
+        assert tr.y.tobytes() == want.tobytes()
 
     def test_seed_changes_noise(self):
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0)
@@ -353,14 +376,14 @@ class TestReferenceStepper:
         cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, noise_std=noise, seed=3, output_ramp=ramp)
         self.assert_matches_reference(design, cfg)
 
-    # one step, four whole chunks, one step into the fifth, and (9 states,
-    # blocks of 400 steps) three blocks plus one ending in a partial chunk
-    @pytest.mark.parametrize("steps", [1, 4 * CHUNK, 4 * CHUNK + 1, 1500])
+    # (9 states, blocks of 327 steps) one, two and three steps; 64 steps,
+    # a power of two, and 65; and four blocks plus one of 192 steps
+    @pytest.mark.parametrize("steps", [1, 2, 3, 64, 65, 1500])
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     def test_chunk_edges_match_reference(self, steps, integrator):
         cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=0.01, seed=5,
                         output_ramp=True)
-        assert cfg.steps == steps
+        assert cfg.steps == steps and _block_steps(9) == 327
         self.assert_matches_reference("n3_m2", cfg)
 
 
@@ -380,12 +403,12 @@ class TestOutputRow:
 
 class TestGuardAtChunkGranularity:
     """The divergence guard reports the first bad grid point wherever it
-    falls in a chunk of ``CHUNK`` steps or a block of chunks.
+    falls in the scan of a block, which is checked as a whole.
 
     The open loop of ``test_divergence_guard`` is linear in ``x0`` and its
     state magnitude rises at every step, so scaling ``x0`` places the first
     point beyond 1e12 at any chosen row.  It has 5 states, so its blocks
-    hold ``BLOCK`` steps and its second block is partial.
+    hold ``BLOCK`` = 910 steps, and its third holds the last 179.
     """
 
     STEPS = 1999
@@ -394,8 +417,8 @@ class TestGuardAtChunkGranularity:
     def setup_method(self):
         self.design = make_design([2.0, 1.0], [], (-1.0,), 10.0)
         self.cfg = SimConfig(t_end=19.99, dt=1e-2)
-        assert self.cfg.steps == self.STEPS and self.STEPS % CHUNK > 8
-        assert self.BLOCK < self.STEPS < 2 * self.BLOCK
+        assert self.cfg.steps == self.STEPS and self.BLOCK == 910
+        assert 2 * self.BLOCK < self.STEPS < 3 * self.BLOCK
 
     def run_reference(self, scale):
         p, exo, sg, rs, obs, _ = self.design
@@ -403,11 +426,13 @@ class TestGuardAtChunkGranularity:
         return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
 
     @pytest.mark.parametrize("row", [
-        1, 4 * CHUNK + 1,                    # first row of a chunk
-        12 * CHUNK,                          # last row of a chunk
-        5 * CHUNK + CHUNK // 2,              # inside a chunk
+        1,                                   # the first step
+        65,                                  # an odd row: the down-sweep's last level
+        88, 192,                             # rows it reaches at strides 8 and 64
+        512,                                 # a power of two: the block's top stride
         BLOCK, BLOCK + 1,                    # last row of a block, first of the next
-        STEPS - STEPS % CHUNK + 5,           # inside the final partial chunk
+        1296, 1297,                          # inside the second block
+        2 * BLOCK + 1, 1989,                 # first row of the last, short block, and one inside it
     ])
     def test_reports_first_bad_grid_point(self, row):
         p, exo, sg, rs, obs, _ = self.design
@@ -424,18 +449,20 @@ class TestGuardAtChunkGranularity:
 
 
 class TestBlockEdges:
-    """Runs that end just before, on and just past a block edge, and one of
-    two blocks plus a partial chunk, against the per-step reference.  The
-    block length depends on the state dimension."""
+    """Runs that end just before, on and just past a block edge, and two
+    that end in a short third block, against the per-step reference.  The
+    block length depends on the state dimension.  The last block of
+    ``2block+3`` has 3 steps and that of ``2block+chunk+3`` 19, whose
+    down-sweep starts at a stride of 16 (the chunk of its label)."""
 
     @pytest.mark.parametrize("dim", sorted(BLOCK_DESIGNS))
-    @pytest.mark.parametrize("edge", ["block-1", "block", "block+1", "2block+chunk+3"])
+    @pytest.mark.parametrize("edge", ["block-1", "block", "block+1", "2block+3", "2block+chunk+3"])
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("ramp, noise", [(True, 0.01), (False, 0.0)], ids=["ramp-noise", "const-quiet"])
     def test_block_edges_match_reference(self, dim, edge, integrator, ramp, noise):
         block = _block_steps(dim)
-        steps = {"block-1": block - 1, "block": block, "block+1": block + 1,
-                 "2block+chunk+3": 2 * block + CHUNK + 3}[edge]
+        steps = {"block-1": block - 1, "block": block, "block+1": block + 1, "2block+3": 2 * block + 3,
+                 "2block+chunk+3": 2 * block + 19}[edge]
         cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=noise, seed=11,
                         output_ramp=ramp)
         assert cfg.steps == steps
@@ -466,35 +493,40 @@ class TestStepMapBasis:
     def test_basis_matches_nested_stages(self, dim, integrator):
         p, exo, sg, rs, obs, fb = make_design(**BLOCK_DESIGNS[dim])
         M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
-        rk4, dt = integrator == "rk4", 1e-3
+        rk4, dt, steps = integrator == "rk4", 1e-3, 16
         rng = np.random.default_rng(dim)
-        ramp = rng.uniform(0.0, 1.0, 2 * CHUNK + 1)
+        ramp = rng.uniform(0.0, 1.0, 2 * steps + 1)
         ramp[:7] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]  # whole steps at 0 and 1, and mixed
-        d = rng.standard_normal(2 * CHUNK + 1)
-        nu = rng.standard_normal(CHUNK)
-        Phi, g = _step_maps(*_basis(M0, U, col_y, col_d, dt, rk4), ramp, d, nu, rk4)
-        assert Phi.shape == (CHUNK, 1, dim, dim) and g.shape == (CHUNK, 1, dim)
-        for k in range(CHUNK):
+        d = rng.standard_normal(2 * steps + 1)
+        nu = rng.standard_normal(steps)
+        A = _step_maps(_homogeneous(*_basis(M0, U, col_y, col_d, dt, rk4)), ramp, d, nu, rk4)
+        assert A.shape == (steps, dim + 1, dim + 1)
+        assert np.array_equal(A[:, dim], np.tile(np.eye(dim + 1)[dim], (steps, 1)))  # rows (0, 1)
+        Phi, g = A[:, :dim, :dim], A[:, :dim, dim]
+        for k in range(steps):
             A0, Am, A1 = (M0 + r * U for r in ramp[2 * k : 2 * k + 3])
             b0, bm, b1 = (nu[k] * col_y + v * col_d for v in d[2 * k : 2 * k + 3])
             want_Phi, want_g = nested_stage_map(A0, Am, A1, b0, bm, b1, dt, rk4)
-            assert np.abs(Phi[k, 0] - want_Phi).max() <= 1e-14 * np.abs(want_Phi).max()
-            assert np.abs(g[k, 0] - want_g).max() <= 1e-14 * np.abs(want_g).max()
+            assert np.abs(Phi[k] - want_Phi).max() <= 1e-14 * np.abs(want_Phi).max()
+            assert np.abs(g[k] - want_g).max() <= 1e-14 * np.abs(want_g).max()
 
 
 class TestOverflowingChunkMaps:
     def test_zero_state_stays_zero(self):
-        # at dt * omega_o = 1e6 a chunk's total map overflows, so a carried
-        # chunk start is inf * 0 = NaN; the states are exactly zero
+        # at dt * omega_o = 1e6 the block's total map overflows, so the state
+        # the down-sweep computes from it is inf * 0 = NaN; the block is swept
+        # again one step at a time, and the states are exactly zero
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 1e10, omega_c=10.0)
         cfg = SimConfig(t_end=0.05, dt=1e-4, output_ramp=True)
+        steps = cfg.steps  # the run is one block
+        assert steps == 500 and _block_steps(5) >= steps
         M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
-        ramp = 1.0 - np.exp(-np.arange(2 * CHUNK + 1) * (cfg.dt / 2.0))
-        zeros = np.zeros(2 * CHUNK + 1)
-        Phi, _ = _step_maps(*_basis(M0, U, col_y, col_d, cfg.dt, True), ramp, zeros, zeros[:CHUNK], True)
+        ramp = 1.0 - np.exp(-np.arange(2 * steps + 1) * (cfg.dt / 2.0))
+        zeros = np.zeros(2 * steps + 1)
+        A = _step_maps(_homogeneous(*_basis(M0, U, col_y, col_d, cfg.dt, True)), ramp, zeros, zeros[:steps], True)
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.linalg.multi_dot(list(Phi[::-1, 0]))
-        assert np.all(np.isfinite(Phi)) and not np.all(np.isfinite(total))
+            total = np.linalg.multi_dot(list(A[::-1]))
+        assert np.all(np.isfinite(A)) and not np.all(np.isfinite(total))
         tr = simulate(p, obs, fb, rs, Constant(0.0), cfg, [0.0, 0.0], np.zeros(obs.dim))
         assert tr.times.size == 501
         for field in ("x", "x_hat", "v_hat", "d_hat", "u", "y"):
@@ -502,7 +534,7 @@ class TestOverflowingChunkMaps:
 
 
 class TestWorkingSet:
-    """Traced allocations stay per chunk: the horizon adds only its records.
+    """Traced allocations stay per block: the horizon adds only its records.
 
     On an n=5, m=4 design (15 states) a whole-horizon stack of step maps
     would hold N * 15 * 15 doubles, about 36 MB at N = 20 000.
@@ -582,6 +614,10 @@ def short_run(x0=(0.0, 1.0), obs0=(0.0, 0.0, 0.0)):
 REFUSALS = {
     "seed_above_int64": (lambda: SimConfig(1.0, 0.1, seed=2**63), ValueError, "seed must fit a 64-bit integer"),
     "seed_below_int64": (lambda: SimConfig(1.0, 0.1, seed=-(2**63) - 1), ValueError, "seed must fit"),
+    "seed_fraction": (lambda: SimConfig(1.0, 0.1, seed=1.5), ValueError, "seed must be an integer"),
+    "seed_nan": (lambda: SimConfig(1.0, 0.1, seed=float("nan")), ValueError, "seed must be an integer"),
+    "seed_inf": (lambda: SimConfig(1.0, 0.1, seed=float("inf")), ValueError, "seed must be an integer"),
+    "seed_string": (lambda: SimConfig(1.0, 0.1, seed="7"), ValueError, "seed must be an integer"),
     "x0_size": (lambda: short_run(x0=[0.0]), DimensionMismatch, "initial states do not match"),
     "observer0_size": (lambda: short_run(obs0=np.zeros(4)), DimensionMismatch, "initial states"),
     "tail_fraction_zero": (lambda: metrics(short_run(), 0.0), ValueError, "tail_fraction must lie in"),

@@ -265,6 +265,15 @@ def spectral_solve(b=(1.0, 0.0), K_omega=(-102.0, -21.0), P_omega=(-10.0,)):
 REFUSALS = {
     "empty_base_k": (lambda: GainBase(k=(), p=(-1.0,)), DimensionMismatch, "must be non-empty"),
     "empty_base_p": (lambda: GainBase(k=(-1.0,), p=()), DimensionMismatch, "must be non-empty"),
+    # one finiteness rule, an int beyond the double range read as inf
+    "base_k_nan": (lambda: GainBase(k=(float("nan"),), p=(-1.0,)), ValueError, r"base k must be finite, got \(nan"),
+    "base_k_huge_int": (lambda: GainBase(k=(10**400,), p=(-1.0,)), ValueError, r"base k must be finite, got \(inf"),
+    "base_p_inf": (lambda: GainBase(k=(-1.0,), p=(float("-inf"),)), ValueError, "base p must be finite"),
+    "base_p_huge_int": (lambda: GainBase(k=(-1.0,), p=(-(10**400),)), ValueError, r"base p must be finite, got \(-inf"),
+    "control_base_nan": (lambda: stabilizer_gain(canonical_plant([2.0, 1.0]), (float("nan"), -2.0), 10.0), ValueError,
+                         r"control base must be finite, got \(nan"),
+    "control_base_huge_int": (lambda: stabilizer_gain(canonical_plant([2.0, 1.0]), (10**400, -2.0), 10.0), ValueError,
+                              r"control base must be finite, got \(inf"),
     "solve_regulator_dims": (lambda: with_harmonic_exosystem(solve_regulator), DimensionMismatch,
                              r"scheduled gains sized \(2, 1\) do not fit"),
     "solve_regulator_spectral_dims": (lambda: with_harmonic_exosystem(solve_regulator_spectral), DimensionMismatch,
