@@ -83,10 +83,7 @@ def _require_keys(obj, allowed, required, where):
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the double range
-        value = math.inf
+    value = linalg.as_float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value

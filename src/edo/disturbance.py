@@ -11,7 +11,7 @@ residual the observer must absorb by high gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -55,8 +55,18 @@ class Signal:
         raise NotImplementedError
 
 
+class _NumberFields(Signal):
+    """A signal whose fields are all numbers, each refused unless finite."""
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        what = f"{type(self).__name__} {'/'.join(names)}"
+        for name, value in zip(names, linalg.finite_floats([getattr(self, name) for name in names], what)):
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class Constant(Signal):
+class Constant(_NumberFields):
     level: float
 
     def value(self, t):
@@ -67,7 +77,7 @@ class Constant(Signal):
 
 
 @dataclass(frozen=True)
-class Harmonic(Signal):
+class Harmonic(_NumberFields):
     """amplitude * sin(frequency * t + phase), frequency in rad/s."""
 
     amplitude: float
@@ -88,7 +98,8 @@ class Polynomial(Signal):
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        coefficients = linalg.finite_floats(self.coefficients, "polynomial coefficients")
+        object.__setattr__(self, "coefficients", coefficients)
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
 
@@ -110,7 +121,7 @@ class Polynomial(Signal):
 
 
 @dataclass(frozen=True)
-class ExpThenHold(Signal):
+class ExpThenHold(_NumberFields):
     """exp(t) until the switch time, frozen at exp(T) afterwards."""
 
     switch_time: float
@@ -215,8 +226,8 @@ class Exosystem:
     spectrum: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "g", tuple(float(v) for v in self.g))
-        object.__setattr__(self, "spectrum", tuple(complex(v) for v in self.spectrum))
+        object.__setattr__(self, "g", linalg.finite_floats(self.g, "exosystem g"))
+        object.__setattr__(self, "spectrum", linalg.finite_complexes(self.spectrum, "exosystem spectrum"))
 
     @property
     def m(self) -> int:
@@ -260,7 +271,7 @@ def exosystem_from_spectrum(nonzero_eigs) -> Exosystem:
     always prepended.  Repeated eigenvalues are accepted and expand the
     characteristic polynomial accordingly.
     """
-    requested = [complex(v) for v in nonzero_eigs]
+    requested = list(linalg.finite_complexes(nonzero_eigs, "exosystem spectrum"))
     for lam in requested:
         if lam.real < -1e-9:
             raise RightHalfPlaneViolation(f"eigenvalue {lam} has negative real part")

@@ -21,6 +21,7 @@ __all__ = [
     "read_only",
     "as_float",
     "finite_floats",
+    "finite_complexes",
 ]
 
 #: Margin on the real axis for Hurwitz classification.
@@ -94,5 +95,21 @@ def finite_floats(values, what: str) -> tuple:
     """``values`` as a tuple of floats; refuses (ValueError) any that is not finite."""
     values = tuple(map(as_float, values))
     if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values
+
+
+def _as_complex(v) -> complex:
+    try:
+        return complex(v)
+    except OverflowError:  # an int beyond the double range
+        return complex(as_float(v))
+
+
+def finite_complexes(values, what: str) -> tuple:
+    """``values`` as a tuple of complex numbers, an int beyond the double range
+    read as inf of its sign; refuses (ValueError) any that is not finite."""
+    values = tuple(map(_as_complex, values))
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values):
         raise ValueError(f"{what} must be finite, got {values}")
     return values

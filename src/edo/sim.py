@@ -13,29 +13,28 @@ rank-one measurement coupling, and its forcing (disturbance, noise) is
 known in advance.  Each step is therefore an affine map
 ``z_{k+1} = Phi_k z_k + g_k``.
 
-Step maps come from a per-run basis.  The drift at ramp value r is
-``M0 + r U``, both from ``_loop``, so the RK4 map is a polynomial in the ramp
-values at the step's start, midpoint and end, with 12 monomials and
-constant coefficient matrices (2 for Euler); ``g`` is also linear in the
-step's forcing samples.  The coefficients are built once per run by the
-RK4 stage recursion on coefficient stacks, and a block of steps then needs
-one matrix product for its maps.
-
-In homogeneous coordinates, with the state z written as ``(z, 1)``, a
-step is the matrix ``[[Phi_k, g_k], [0, 1]]`` and a run of steps is a
-product of matrices.  The steps are run by a work-efficient scan (Blelloch,
-"Prefix sums and their applications", CMU-CS-90-190; Kogge and Stone, IEEE
-Trans. Computers C-22, 1973) over blocks whose maps hold at most
-``BLOCK_DOUBLES`` doubles, so that a block's length depends on the state
-dimension alone.  The up-sweep pairs adjacent maps level by level until it
-reaches the block's total map; the down-sweep then fills in the states from
-the coarsest stride down, one batched matrix-vector product per level.  A
-long product of very unstable step maps can overflow where the states do
-not (inf * 0 on a zero state), so a block whose first row beyond the guard
-is not finite is swept again one step at a time from its start before the
-guard reports.  The divergence guard is checked once per block but reports
-the exact first grid point beyond it.  Everything is a pure function of its
-inputs including the seed, so runs are bit-reproducible and safely parallel.
+In homogeneous coordinates, with the state z written as ``(z, 1)``, a step
+is the matrix ``[[Phi_k, g_k], [0, 1]]``, the forcing is the last column of
+the drift, and a run of steps is a product of matrices.  Step maps come
+from a per-run basis.  The drift at ramp value r is ``M0 + r U``, both from
+``_loop``, so a step's map is a polynomial in the ramp values at its start,
+midpoint and end and linear in its forcing samples, with constant
+coefficient matrices (36 for RK4, 4 for Euler).  They are built once per
+run by one pass of the RK4 stage recursion on stacks of them, and a block
+of steps then needs one matrix product for its maps.  The steps are run by
+a work-efficient scan (Blelloch, "Prefix sums and their applications",
+CMU-CS-90-190; Kogge and Stone, IEEE Trans. Computers C-22, 1973) over
+blocks whose maps hold at most ``BLOCK_DOUBLES`` doubles, so that a block's
+length depends on the state dimension alone.  The up-sweep pairs adjacent
+maps level by level until it reaches the block's total map; the down-sweep
+then fills in the states from the coarsest stride down, one batched
+matrix-vector product per level.  A long product of very unstable step maps
+can overflow where the states do not (inf * 0 on a zero state), so a block
+whose first row beyond the guard is not finite is swept again one step at a
+time from its start before the guard reports.  The divergence guard is
+checked once per block but reports the exact first grid point beyond it.
+Everything is a pure function of its inputs including the seed, so runs are
+bit-reproducible and safely parallel.
 """
 
 from __future__ import annotations
@@ -173,16 +172,15 @@ def simulate(
         noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
 
     Z[0] = np.concatenate([x0, z_obs0, [1.0]])
-    rk4 = cfg.integrator == "rk4"
     # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        H = _homogeneous(*_basis(M0, U, col_y, col_d, dt, rk4))
+        H = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
         block = _block_steps(dim)
         for k0 in range(0, N, block):
             k1 = min(k0 + block, N)
             j = slice(2 * k0, 2 * k1 + 1)
-            maps = (H, ramp_half[j], d_half[j], noise[k0:k1], rk4)
+            maps = (H, ramp_half[j], d_half[j], noise[k0:k1])
             rows = Z[k0 : k1 + 1]
             _scan(_step_maps(*maps), rows)
             bad = _first_bad(rows)
@@ -217,78 +215,60 @@ def _first_bad(rows):
 
 
 def _basis(M0, U, col_y, col_d, dt, rk4):
-    """Coefficients of the step map ``z -> Phi z + g`` of one step.
+    """Coefficients of the step map ``[[Phi, g], [0, 1]]`` of one step.
 
     The drift at ramp value r is ``M0 + r U``, U of rank one, as
-    ``synthesis._loop`` gives it, so ``Phi`` is a polynomial in the ramp values
-    ``(r0, rm, r1)`` at the step's start, midpoint and end, and ``g`` is
-    also linear in the forcing ``(nu, d0, dm, d1)``: the noise draw, held
-    across the stages, and the disturbance at the three points.  Returns
-    ``(K, Kg)`` with ``Phi = I + sum_i w_i K_i`` and ``g = sum_i wg_i Kg_i``
-    for the weights of ``_step_maps``.  RK4 runs its stage recursion on
-    stacks ``[c, b, a]`` of the coefficients of ``r1^c rm^b r0^a``; a
-    product with the drift at a ramp value shifts that value's axis.
+    ``synthesis._loop`` gives it, and the forcing is ``nu col_y + d col_d``:
+    the noise draw, held across the stages, and the disturbance.  In
+    homogeneous coordinates the forcing is the drift's last column, so the
+    step map is a polynomial in the ramp values ``(r0, rm, r1)`` at the
+    step's start, midpoint and end and linear in ``(nu, d0, dm, d1)``.
+    Returns the stack ``H[c, b, s]`` of matrices with step map
+    ``I + sum r1^c rm^b u_s H[c, b, s]``, ``u = (1, r0, nu, d0, dm, d1)``.
+    RK4 runs its stage recursion once on such stacks; a product with the
+    drift at a ramp value shifts that value's axis.  Euler's stack is ``dt``
+    times the drift at the step's start, cut to ``[:1, :1, :4]``.
     """
     dim = M0.shape[0]
+    # the drift at the step's start, midpoint and end: M0 and col_y at 1 and
+    # nu, U at that point's ramp value and col_d at its disturbance sample
+    X0, Xm, X1 = np.zeros((3, 2, 3, 6, dim + 1, dim + 1))
+    for X, r, d in ((X0, (0, 0, 1), 3), (Xm, (0, 1, 0), 4), (X1, (1, 0, 0), 5)):
+        X[0, 0, 0, :dim, :dim] = M0
+        X[r][:dim, :dim] = U
+        X[0, 0, 2, :dim, dim] = col_y
+        X[0, 0, d, :dim, dim] = col_d
     if not rk4:
-        return dt * np.stack([M0, U]).reshape(2, -1), dt * np.stack([col_y, col_d])
+        return dt * X0[:1, :1, :4]
+    M0h, Uh = X1[0, 0, 0], X1[1, 0, 0]
 
     def drift_times(X, axis):
-        Y = M0 @ X
-        Y[(slice(None),) * axis + (slice(1, None),)] += (U @ X)[(slice(None),) * axis + (slice(None, -1),)]
+        Y = M0h @ X
+        Y[(slice(None),) * axis + (slice(1, None),)] += (Uh @ X)[(slice(None),) * axis + (slice(None, -1),)]
         return Y
 
     h = 0.5 * dt
-    # monomials: index a + 2b + 6c of r0^a rm^b r1^c
-    A0, Am, A1 = np.zeros((3, 2, 3, 2, dim, dim))
-    A0[0, 0, 0] = Am[0, 0, 0] = A1[0, 0, 0] = M0
-    A0[0, 0, 1] = Am[0, 1, 0] = A1[1, 0, 0] = U
-    P2 = Am + h * drift_times(A0, 1)
-    P3 = Am + h * drift_times(P2, 1)
-    P4 = A1 + dt * drift_times(P3, 0)
-    K = (dt / 6.0) * (A0 + 2.0 * (P2 + P3) + P4)
-    # forcing f in (nu, d0, dm, d1) times the monomials free of r0:
-    # index 4 (3c + b) + f, stacks [c, b, f] of column vectors
-    B0, Bm, B1 = np.zeros((3, 2, 3, 4, dim, 1))
-    B0[0, 0, 0] = Bm[0, 0, 0] = B1[0, 0, 0] = col_y[:, None]
-    B0[0, 0, 1] = Bm[0, 0, 2] = B1[0, 0, 3] = col_d[:, None]
-    C2 = Bm + h * drift_times(B0, 1)
-    C3 = Bm + h * drift_times(C2, 1)
-    C4 = B1 + dt * drift_times(C3, 0)
-    Kg = (dt / 6.0) * (B0 + 2.0 * (C2 + C3) + C4)
-    return K.reshape(12, -1), Kg.reshape(24, dim)
+    P2 = Xm + h * drift_times(X0, 1)
+    P3 = Xm + h * drift_times(P2, 1)
+    P4 = X1 + dt * drift_times(P3, 0)
+    return (dt / 6.0) * (X0 + 2.0 * (P2 + P3) + P4)
 
 
-def _homogeneous(K, Kg):
-    """The basis ``(K, Kg)`` of ``_basis`` as one stack of matrices
-    ``[[K_i, 0], [0, 0]]`` and ``[[0, Kg_i], [0, 0]]`` of homogeneous coordinates."""
-    dim = Kg.shape[1]
-    H = np.zeros((len(K) + len(Kg), dim + 1, dim + 1))
-    H[: len(K), :dim, :dim] = K.reshape(-1, dim, dim)
-    H[len(K) :, :dim, dim] = Kg
-    return H
-
-
-def _step_maps(H, ramp, d, noise, rk4):
-    """Step maps ``[[Phi, g], [0, 1]]`` of a block, in step order; ``ramp``
-    and ``d`` hold the block's half-grid samples, ``noise`` one draw per
-    step.  The weights of the basis ``H`` are the monomials in the ramp
-    values and, for ``g``, the forcing times the monomials free of ``r0``."""
-    steps, size = len(noise), H.shape[-1]
+def _step_maps(H, ramp, d, noise):
+    """Step maps ``[[Phi, g], [0, 1]]`` of a block, in step order, from the
+    basis ``H`` of ``_basis``; ``ramp`` and ``d`` hold the block's half-grid
+    samples, ``noise`` one draw per step.  The weights are the outer product
+    of the powers ``(1, r1)``, ``(1, rm, rm^2)`` and ``u``, each cut to the
+    length of its axis in ``H``."""
+    (c, b, s), size, steps = H.shape[:3], H.shape[-1], len(noise)
     r0, rm, r1 = ramp[0:-2:2], ramp[1:-1:2], ramp[2::2]
-    f = np.stack([noise, d[0:-2:2], d[1:-1:2], d[2::2]], axis=-1)
-    W = np.empty((steps, len(H)))
-    W[:, 0] = 1.0
-    if rk4:
-        W[:, 2] = rm
-        W[:, 4] = rm * rm
-        W[:, 1:6:2] = W[:, 0:6:2] * r0[:, None]
-        W[:, 6:12] = W[:, :6] * r1[:, None]
-        W[:, 12:] = (W[:, 0:12:2, None] * f[:, None, :]).reshape(steps, -1)
-    else:
-        W[:, 1] = r0
-        W[:, 2:] = f[:, :2]
-    A = W @ H.reshape(len(H), -1)
+    one = np.ones(steps)
+    W = np.stack([one, r0, noise, d[0:-2:2], d[1:-1:2], d[2::2]][:s], axis=-1)
+    if c * b > 1:
+        r1_powers = np.stack([one, r1][:c], axis=-1)
+        rm_powers = np.stack([one, rm, rm * rm][:b], axis=-1)
+        W = (r1_powers[:, :, None] * rm_powers[:, None, :])[..., None] * W[:, None, None, :]
+    A = W.reshape(steps, -1) @ H.reshape(c * b * s, -1)
     # the identity comes last, as in the stage formula: summed in with
     # the basis it would round Phi - I at the scale of I once per term
     A[:, :: size + 1] += 1.0

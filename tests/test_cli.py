@@ -272,17 +272,18 @@ class TestSimulateCommand:
         assert out_env.read_bytes() == out_direct.read_bytes()
 
     @pytest.mark.parametrize(
-        "literal",
-        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
-        ids=["nan", "inf", "minus_inf", "float_overflow", "int_overflow"],
+        "literal, shown",
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"), ("1" + "0" * 400, "inf"),
+         ("-1" + "0" * 400, "-inf")],
+        ids=["nan", "inf", "minus_inf", "float_overflow", "int_overflow", "minus_int_overflow"],
     )
-    def test_non_finite_number_exits_2_without_output(self, tmp_path, capsys, literal):
+    def test_non_finite_number_exits_2_without_output(self, tmp_path, capsys, literal, shown):
         text = json.dumps(base_config()).replace('"value": 10.0', f'"value": {literal}')
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         out = tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: disturbance.terms: expected a finite number, got {shown}\n"
         assert not out.exists()
 
     def test_non_finite_number_in_dict_config_rejected(self):

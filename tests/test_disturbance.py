@@ -3,6 +3,7 @@ import pytest
 
 from edo import (
     Constant,
+    Exosystem,
     ExpThenHold,
     Harmonic,
     Polynomial,
@@ -200,6 +201,36 @@ class TestPolynomial:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="polynomial needs at least one coefficient"):
             Polynomial(())
+
+
+NAN, INF = float("nan"), float("inf")
+
+REFUSALS = {
+    # one finiteness rule, an int beyond the double range read as inf of its sign
+    "constant_nan": (lambda: Constant(NAN), r"Constant level must be finite, got \(nan,\)"),
+    "constant_huge_int": (lambda: Constant(10**400), r"Constant level must be finite, got \(inf,\)"),
+    "harmonic_nan_frequency": (lambda: Harmonic(1.0, NAN),
+                               r"Harmonic amplitude/frequency/phase must be finite, got \(1.0, nan, 0.0\)"),
+    "harmonic_inf_phase": (lambda: Harmonic(1.0, 2.0, -INF), r"Harmonic .* got \(1.0, 2.0, -inf\)"),
+    "harmonic_huge_int": (lambda: Harmonic(10**400, 2.0), r"Harmonic .* got \(inf, 2.0, 0.0\)"),
+    "polynomial_nan": (lambda: Polynomial((0.0, NAN)), r"polynomial coefficients must be finite, got \(0.0, nan\)"),
+    "polynomial_huge_negative_int": (lambda: Polynomial((-(10**400),)), r"polynomial coefficients .* got \(-inf,\)"),
+    "exp_then_hold_inf": (lambda: ExpThenHold(INF), r"ExpThenHold switch_time must be finite, got \(inf,\)"),
+    "exosystem_g_nan": (lambda: Exosystem(g=(NAN,), spectrum=(0.0, 0.0)), r"exosystem g must be finite, got \(nan,\)"),
+    "exosystem_spectrum_nan": (lambda: Exosystem(g=(0.0,), spectrum=(0.0, NAN)), "exosystem spectrum must be finite"),
+    "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]),
+                          r"exosystem spectrum must be finite, got \(\(inf\+0j\),\)"),
+    "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), r"exosystem spectrum must be finite, got \(\(nan\+0j\),\)"),
+    "spectrum_infinite_carrier": (lambda: exosystem_from_spectrum([complex(0.0, INF), complex(0.0, -INF)]),
+                                  "exosystem spectrum must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusal(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestDecompose:

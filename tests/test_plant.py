@@ -137,6 +137,12 @@ class TestObservableForOmega:
     def test_transmission_zero_spectrum(self):
         assert is_observable_for_omega(double_integrator_example(), [1.0]) is False
 
+    def test_unobservable_pair(self):
+        # C sees only the first mode; no transmission zero at the carrier
+        gp = GeneralPlant(A=np.diag([-1.0, -2.0]), B=[1.0, 1.0], C=[1.0, 0.0])
+        assert all(transmission_zero_holds(gp, lam) for lam in (1j, -1j))
+        assert is_observable_for_omega(gp, [1j, -1j]) is False
+
     def test_overlap_rejected(self):
         with pytest.raises(SpectraOverlap):
             is_observable_for_omega(double_integrator_example(), [0.0])

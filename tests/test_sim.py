@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -23,7 +24,7 @@ from edo import (
 )
 from edo import linalg
 from edo.errors import DimensionMismatch, EmptyTrajectory, NonFinite
-from edo.sim import _basis, _block_steps, _homogeneous, _step_maps, peaking_counterexample_norm
+from edo.sim import _basis, _block_steps, _step_maps, peaking_counterexample_norm
 from edo.synthesis import (
     RegulatorSolution,
     StabilizerGain,
@@ -499,7 +500,7 @@ class TestStepMapBasis:
         ramp[:7] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]  # whole steps at 0 and 1, and mixed
         d = rng.standard_normal(2 * steps + 1)
         nu = rng.standard_normal(steps)
-        A = _step_maps(_homogeneous(*_basis(M0, U, col_y, col_d, dt, rk4)), ramp, d, nu, rk4)
+        A = _step_maps(_basis(M0, U, col_y, col_d, dt, rk4), ramp, d, nu)
         assert A.shape == (steps, dim + 1, dim + 1)
         assert np.array_equal(A[:, dim], np.tile(np.eye(dim + 1)[dim], (steps, 1)))  # rows (0, 1)
         Phi, g = A[:, :dim, :dim], A[:, :dim, dim]
@@ -523,9 +524,9 @@ class TestOverflowingChunkMaps:
         M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
         ramp = 1.0 - np.exp(-np.arange(2 * steps + 1) * (cfg.dt / 2.0))
         zeros = np.zeros(2 * steps + 1)
-        A = _step_maps(_homogeneous(*_basis(M0, U, col_y, col_d, cfg.dt, True)), ramp, zeros, zeros[:steps], True)
+        A = _step_maps(_basis(M0, U, col_y, col_d, cfg.dt, True), ramp, zeros, zeros[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.linalg.multi_dot(list(A[::-1]))
+            total = functools.reduce(lambda P, Ak: Ak @ P, A)
         assert np.all(np.isfinite(A)) and not np.all(np.isfinite(total))
         tr = simulate(p, obs, fb, rs, Constant(0.0), cfg, [0.0, 0.0], np.zeros(obs.dim))
         assert tr.times.size == 501
