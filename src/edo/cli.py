@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 configuration/flag error, 3 synthesis error,
 4 simulated divergence.  The environment variable ``EDO_SEED`` (decimal
 64-bit integer) overrides the configured noise seed.
 
-The JSON configuration is strict: unknown keys and non-finite numbers
-are rejected at every level.  Complex eigenvalues are written as
-``[re, im]`` pairs and disturbance terms as tagged objects, for example
-``{"type": "harmonic", "amplitude": 1.0, "frequency": 10.0, "phase": 0.0}``.
+The JSON configuration is strict: unknown keys, repeated keys and
+non-finite numbers are rejected at every level.  Complex eigenvalues are
+written as ``[re, im]`` pairs and disturbance terms as tagged objects,
+for example ``{"type": "harmonic", "amplitude": 1.0, "frequency": 10.0, "phase": 0.0}``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import contextmanager
@@ -69,13 +70,13 @@ EXIT_DIVERGED = 4
 # configuration parsing
 
 
-def _require_keys(obj, allowed, required, where):
+def _require_keys(obj, where, keys, optional=()):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(allowed)
+    unknown = set(obj) - set(keys) - set(optional)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
+    missing = set(keys) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
@@ -100,20 +101,20 @@ def _parse_term(obj, where) -> Signal:
         raise ConfigError(f"{where}: disturbance term needs a 'type' tag")
     kind = obj["type"]
     if kind == "constant":
-        _require_keys(obj, ("type", "value"), ("type", "value"), where)
+        _require_keys(obj, where, ("type", "value"))
         return Constant(_number(obj["value"], where))
     if kind == "harmonic":
-        _require_keys(obj, ("type", "amplitude", "frequency", "phase"), ("type", "amplitude", "frequency"), where)
+        _require_keys(obj, where, ("type", "amplitude", "frequency"), optional=("phase",))
         return Harmonic(
             _number(obj["amplitude"], where),
             _number(obj["frequency"], where),
             _number(obj.get("phase", 0.0), where),
         )
     if kind == "polynomial":
-        _require_keys(obj, ("type", "coefficients"), ("type", "coefficients"), where)
+        _require_keys(obj, where, ("type", "coefficients"))
         return Polynomial(tuple(_number_list(obj["coefficients"], where)))
     if kind == "exp_then_hold":
-        _require_keys(obj, ("type", "switch_time"), ("type", "switch_time"), where)
+        _require_keys(obj, where, ("type", "switch_time"))
         return ExpThenHold(_number(obj["switch_time"], where))
     raise ConfigError(f"{where}: unknown disturbance term type {kind!r}")
 
@@ -136,22 +137,31 @@ def load_config(path) -> RunConfig:
     """Read and validate a strict-JSON run configuration."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object_without_repeats)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bytes that are not UTF-8, integers beyond the digit limit, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
 
+def _object_without_repeats(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(raw) -> RunConfig:
-    top = ("plant", "exosystem", "gains", "disturbance", "sim", "initial")
-    _require_keys(raw, top, top, "config")
-    _require_keys(raw["plant"], ("a",), ("a",), "plant")
+    _require_keys(raw, "config", ("plant", "exosystem", "gains", "disturbance", "sim", "initial"))
+    _require_keys(raw["plant"], "plant", ("a",))
     a = _number_list(raw["plant"]["a"], "plant.a")
     plant = canonical_plant(a)
 
-    _require_keys(raw["exosystem"], ("spectrum",), ("spectrum",), "exosystem")
+    _require_keys(raw["exosystem"], "exosystem", ("spectrum",))
     pairs_raw = raw["exosystem"]["spectrum"]
     if not isinstance(pairs_raw, list):
         raise ConfigError("exosystem.spectrum: expected an array of [re, im] pairs")
@@ -159,10 +169,10 @@ def parse_config(raw) -> RunConfig:
     for pair in pairs_raw:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError("exosystem.spectrum: entries must be [re, im] pairs")
-        spectrum.append(complex(_number(pair[0], "spectrum"), _number(pair[1], "spectrum")))
+        spectrum.append(complex(_number(pair[0], "exosystem.spectrum"), _number(pair[1], "exosystem.spectrum")))
 
     gains = raw["gains"]
-    _require_keys(gains, ("omega_o", "omega_c", "k", "p"), ("omega_o", "omega_c", "k", "p"), "gains")
+    _require_keys(gains, "gains", ("omega_o", "omega_c", "k", "p"))
     omega_o = _number(gains["omega_o"], "gains.omega_o")
     omega_c = _number(gains["omega_c"], "gains.omega_c")
     if omega_o <= 0.0 or omega_c <= 0.0:
@@ -174,15 +184,14 @@ def parse_config(raw) -> RunConfig:
     if len(p) != len(spectrum) + 1:
         raise ConfigError("gains.p must have one entry more than the exosystem spectrum")
 
-    _require_keys(raw["disturbance"], ("terms",), ("terms",), "disturbance")
+    _require_keys(raw["disturbance"], "disturbance", ("terms",))
     terms = raw["disturbance"]["terms"]
     if not isinstance(terms, list) or not terms:
         raise ConfigError("disturbance.terms: expected a non-empty array")
     signal = Sum(tuple(_parse_term(t, "disturbance.terms") for t in terms))
 
     sim_raw = raw["sim"]
-    sim_keys = ("t_end", "dt", "integrator", "noise_std", "seed", "output_ramp")
-    _require_keys(sim_raw, sim_keys, sim_keys, "sim")
+    _require_keys(sim_raw, "sim", ("t_end", "dt", "integrator", "noise_std", "seed", "output_ramp"))
     if not isinstance(sim_raw["seed"], int) or isinstance(sim_raw["seed"], bool):
         raise ConfigError("sim.seed must be an integer")
     if not isinstance(sim_raw["output_ramp"], bool):
@@ -201,7 +210,7 @@ def parse_config(raw) -> RunConfig:
         raise ConfigError(f"sim: {exc}") from exc
 
     init = raw["initial"]
-    _require_keys(init, ("x0", "observer0"), ("x0", "observer0"), "initial")
+    _require_keys(init, "initial", ("x0", "observer0"))
     x0 = np.array(_number_list(init["x0"], "initial.x0"))
     if x0.size != len(a):
         raise ConfigError("initial.x0 must match the plant order")
@@ -231,13 +240,13 @@ def _apply_seed_override(seed: int) -> int:
     raw = os.environ.get("EDO_SEED")
     if raw is None:
         return seed
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"EDO_SEED is not a decimal integer: {raw!r}") from None
-    if not (-(2**63) <= value < 2**63):
+    match = re.fullmatch(r"([+-]?)0*([0-9]+)", raw)  # ASCII digits only: no "_", spaces or other scripts
+    if match is None:
+        raise ConfigError(f"EDO_SEED is not a decimal integer: {raw!r}")
+    sign, digits = match.groups()
+    if len(digits) > 19 or not (-(2**63) <= int(sign + digits) < 2**63):
         raise ConfigError("EDO_SEED does not fit a 64-bit integer")
-    return value
+    return int(sign + digits)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +496,8 @@ def cmd_design(config_path, out_path) -> int:
         report = design_report(build_design(cfg))
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    for name in ("observer_state", "observer_carrier", "state_feedback", "closed_loop"):
-        pairs = report["spectra"][name]
-        pretty = ", ".join(f"{re:+.6g}{im:+.6g}j" for re, im in pairs)
+    for name, pairs in report["spectra"].items():
+        pretty = ", ".join(f"{real:+.6g}{imag:+.6g}j" for real, imag in pairs)
         print(f"{name:16s}: {pretty}")
     return EXIT_OK
 
@@ -562,18 +570,22 @@ def main(argv=None) -> int:
     p_design = sub.add_parser("design", help="synthesize an observer and write a design report")
     p_design.add_argument("--config", required=True)
     p_design.add_argument("--out", required=True)
+    p_design.set_defaults(run=lambda args: cmd_design(args.config, args.out))
 
     p_sim = sub.add_parser("simulate", help="design and run the closed loop, write CSV")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--svg", default=None)
+    p_sim.set_defaults(run=lambda args: cmd_simulate(args.config, args.out, args.svg))
 
     p_scen = sub.add_parser("scenario", help="run a named preset scenario")
     p_scen.add_argument("name")
     p_scen.add_argument("--out", required=True)
+    p_scen.set_defaults(run=lambda args: cmd_scenario(args.name, args.out))
 
     p_probe = sub.add_parser("probe", help="print high-gain decay probe table")
     p_probe.add_argument("--omega", required=True)
+    p_probe.set_defaults(run=lambda args: cmd_probe(args.omega))
 
     try:
         args = parser.parse_args(argv)
@@ -581,15 +593,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "design":
-            return cmd_design(args.config, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.svg)
-        if args.command == "scenario":
-            return cmd_scenario(args.name, args.out)
-        if args.command == "probe":
-            return cmd_probe(args.omega)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -599,7 +603,3 @@ def main(argv=None) -> int:
     except EdoError as exc:
         print(f"synthesis error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -83,11 +83,24 @@ class TestDesignCommand:
         assert np.array_equal(np.array(report["regulator"]["S"]), design.regulator.S)
         assert np.array_equal(np.array(report["observer"]["A_hat"]), design.observer.A_hat)
 
-    def test_malformed_json_exits_2_without_output(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b"\xff\xfe",  # not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+            # an integer literal beyond Python's 4300-digit conversion limit
+            json.dumps(cli.SCENARIOS["fig1"]).replace('"value": 10.0', '"value": ' + "1" * 5001).encode(),
+        ],
+        ids=["not_json", "not_utf8", "nested_too_deep", "integer_too_long"],
+    )
+    def test_malformed_json_exits_2_without_output(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(content)
         out = tmp_path / "report.json"
         assert cli.main(["design", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ") and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -366,6 +379,8 @@ CONFIG_REFUSALS = [
                  id="spectrum_not_a_list"),
     pytest.param(("exosystem", "spectrum"), [[0.0, 1.0, 2.0]], "exosystem.spectrum: entries must be [re, im] pairs",
                  id="spectrum_not_pairs"),
+    pytest.param(("exosystem", "spectrum"), [[0.0, "1"]], "exosystem.spectrum: expected a number, got '1'",
+                 id="spectrum_not_a_number"),
     pytest.param(("gains", "omega_o"), 0.0, "gains: bandwidths must be positive", id="omega_o_zero"),
     pytest.param(("gains", "omega_c"), -1.0, "gains: bandwidths must be positive", id="omega_c_negative"),
     pytest.param(("gains", "k"), [-1.0], "gains.k must match the plant order", id="k_length"),
@@ -405,6 +420,11 @@ CONFIG_REFUSALS = [
         )
     ],
     pytest.param(("EDO_SEED",), str(2**63), "EDO_SEED does not fit a 64-bit integer", id="edo_seed_range"),
+    # int() reads each of these as 10; the seed is plain ASCII decimal
+    *[
+        pytest.param(("EDO_SEED",), raw, f"EDO_SEED is not a decimal integer: {raw!r}", id=f"edo_seed_{name}")
+        for name, raw in (("underscore", "1_0"), ("spaces", " 10 "), ("arabic_indic_digits", "\u0661\u0660"))
+    ],
     pytest.param((), None, "cannot read config", id="unreadable_config"),
 ]
 
@@ -423,6 +443,16 @@ class TestConfigRefusals:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys):
+        # json.load alone keeps the last of repeated keys and would run this at dt = 1e-4
+        text = json.dumps(cli.SCENARIOS["fig4"]).replace('"dt": 0.0001', '"dt": 0.5, "dt": 0.0001')
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: repeated key 'dt'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

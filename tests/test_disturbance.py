@@ -13,13 +13,23 @@ from edo import (
     exosystem_from_spectrum,
     s_norm,
 )
-from edo.disturbance import derivative
-from edo.errors import NotConjugateClosed, Overflow, RightHalfPlaneViolation, UnboundedDerivative
+from edo.disturbance import Signal, derivative
+from edo.errors import NotConjugateClosed, Overflow, RightHalfPlaneViolation, UnboundedDerivative, UnsupportedVariant
 from edo.linalg import companion_from_last_row, eigenvalues
 
 
 def sine_plus_offset():
     return Sum((Harmonic(1.0, 10.0, 0.0), Constant(10.0)))
+
+
+class Ramp(Signal):
+    """A signal outside the tagged union: neither norm nor routing knows it."""
+
+    def value(self, t):
+        return t
+
+    def slope(self, t):
+        return t * 0.0 + 1.0
 
 
 class TestEvaluate:
@@ -83,6 +93,10 @@ class TestSNorm:
     def test_quadratic_rejected(self):
         with pytest.raises(UnboundedDerivative):
             s_norm(Polynomial((0.0, 0.0, 1.0)))
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(UnsupportedVariant, match="cannot bound derivative of Ramp"):
+            s_norm(Sum((Constant(1.0), Ramp())))
 
     def test_sum_with_offset(self):
         assert s_norm(sine_plus_offset()) == pytest.approx(20.0)
@@ -291,6 +305,10 @@ class TestDecompose:
     def test_unmatched_quadratic_rejected(self):
         with pytest.raises(UnboundedDerivative):
             decompose(Sum((Polynomial((0.0, 0.0, 1.0)),)), exosystem_from_spectrum([]))
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(UnsupportedVariant, match="cannot route Ramp"):
+            decompose(Sum((Constant(1.0), Ramp())), exosystem_from_spectrum([]))
 
     def test_exp_then_hold_goes_residual(self):
         dec = decompose(Sum((ExpThenHold(1.0), Constant(2.0))), exosystem_from_spectrum([]))

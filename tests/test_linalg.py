@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edo import linalg
-from edo.errors import NonSquare, Overflow
+from edo.errors import IterationDivergence, NonSquare, Overflow
 
 
 def durand_kerner(coeffs, iters=200):
@@ -47,6 +47,10 @@ class TestEigenvalues:
     def test_non_square_rejected(self):
         with pytest.raises(NonSquare):
             linalg.eigenvalues(np.zeros((2, 3)))
+
+    def test_nan_entry_diverges(self):
+        with pytest.raises(IterationDivergence, match="infs or NaNs"):
+            linalg.eigenvalues([[float("nan")]])
 
     def test_companion_matches_root_finder(self, rng):
         for _ in range(40):
