@@ -24,6 +24,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import stat
 import sys
 from contextlib import contextmanager
@@ -70,12 +71,20 @@ EXIT_DIVERGED = 4
 # configuration parsing
 
 
+def _quoted(value, limit=80):
+    """``repr(value)`` for an error message, of at most ``limit`` characters:
+    ``reprlib`` shortens long strings and lists and deep nesting, and the
+    rest is cut."""
+    text = reprlib.repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _require_keys(obj, where, keys, optional=()):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - set(keys) - set(optional)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {_quoted(sorted(unknown))}")
     missing = set(keys) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
@@ -83,10 +92,10 @@ def _require_keys(obj, where, keys, optional=()):
 
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {_quoted(value)}")
     value = linalg.as_float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {_quoted(value)}")
     return value
 
 
@@ -116,7 +125,7 @@ def _parse_term(obj, where) -> Signal:
     if kind == "exp_then_hold":
         _require_keys(obj, where, ("type", "switch_time"))
         return ExpThenHold(_number(obj["switch_time"], where))
-    raise ConfigError(f"{where}: unknown disturbance term type {kind!r}")
+    raise ConfigError(f"{where}: unknown disturbance term type {_quoted(kind)}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ def _object_without_repeats(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"repeated key {key!r}")
+            raise ConfigError(f"repeated key {_quoted(key)}")
         obj[key] = value
     return obj
 
@@ -242,7 +251,7 @@ def _apply_seed_override(seed: int) -> int:
         return seed
     match = re.fullmatch(r"([+-]?)0*([0-9]+)", raw)  # ASCII digits only: no "_", spaces or other scripts
     if match is None:
-        raise ConfigError(f"EDO_SEED is not a decimal integer: {raw!r}")
+        raise ConfigError(f"EDO_SEED is not a decimal integer: {_quoted(raw)}")
     sign, digits = match.groups()
     if len(digits) > 19 or not (-(2**63) <= int(sign + digits) < 2**63):
         raise ConfigError("EDO_SEED does not fit a 64-bit integer")
@@ -525,7 +534,7 @@ def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
 
 def cmd_scenario(name, out_dir) -> int:
     if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+        raise ConfigError(f"unknown scenario {_quoted(name)}; choose from {sorted(SCENARIOS)}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -548,10 +557,15 @@ def cmd_scenario(name, out_dir) -> int:
 
 def cmd_probe(omega_list) -> int:
     try:
+        # float() alone reads "1_0" and other scripts' digits as 10; EDO_SEED refuses them too
+        if not omega_list.isascii() or "_" in omega_list:
+            raise ValueError
         omegas = [_number(float(tok), "--omega") for tok in omega_list.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"--omega expects a comma-separated number list, got {omega_list!r}") from None
-    if not omegas or any(w <= 0.0 for w in omegas):
+        raise ConfigError(f"--omega expects a comma-separated number list, got {_quoted(omega_list)}") from None
+    if not omegas:
+        raise ConfigError("--omega: no bandwidth given")
+    if any(w <= 0.0 for w in omegas):
         raise ConfigError("--omega values must be positive")
     plant = canonical_plant([0.0, 0.0])
     base = GainBase(k=(-1.0, -2.0), p=(-1.0,))

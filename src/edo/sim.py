@@ -19,9 +19,10 @@ the drift, and a run of steps is a product of matrices.  Step maps come
 from a per-run basis.  The drift at ramp value r is ``M0 + r U``, both from
 ``_loop``, so a step's map is a polynomial in the ramp values at its start,
 midpoint and end and linear in its forcing samples, with constant
-coefficient matrices (36 for RK4, 4 for Euler).  They are built once per
-run by one pass of the RK4 stage recursion on stacks of them, and a block
-of steps then needs one matrix product for its maps.  The steps are run by
+coefficient matrices.  They are built once per run by one pass of the RK4
+stage recursion on stacks of them, and only the nonzero ones are kept (13
+of 24 for RK4 on a second-order plant, 4 for Euler); a block of steps then
+needs one matrix product for its maps.  The steps are run by
 a work-efficient scan (Blelloch, "Prefix sums and their applications",
 CMU-CS-90-190; Kogge and Stone, IEEE Trans. Computers C-22, 1973) over
 blocks whose maps hold at most ``BLOCK_DOUBLES`` doubles, so that a block's
@@ -175,12 +176,12 @@ def simulate(
     # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        H = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
+        basis = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
         block = _block_steps(dim)
         for k0 in range(0, N, block):
             k1 = min(k0 + block, N)
             j = slice(2 * k0, 2 * k1 + 1)
-            maps = (H, ramp_half[j], d_half[j], noise[k0:k1])
+            maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
             rows = Z[k0 : k1 + 1]
             _scan(_step_maps(*maps), rows)
             bad = _first_bad(rows)
@@ -215,64 +216,63 @@ def _first_bad(rows):
 
 
 def _basis(M0, U, col_y, col_d, dt, rk4):
-    """Coefficients of the step map ``[[Phi, g], [0, 1]]`` of one step.
+    """Nonzero coefficients of the step map ``[[Phi, g], [0, 1]]`` of one step.
 
-    The drift at ramp value r is ``M0 + r U``, U of rank one, as
-    ``synthesis._loop`` gives it, and the forcing is ``nu col_y + d col_d``:
+    The drift at ramp value r is ``M0 + r U``, U of rank one and ``U^2 = 0``,
+    as ``synthesis._loop`` gives it, and the forcing is ``nu col_y + d col_d``:
     the noise draw, held across the stages, and the disturbance.  In
     homogeneous coordinates the forcing is the drift's last column, so the
-    step map is a polynomial in the ramp values ``(r0, rm, r1)`` at the
-    step's start, midpoint and end and linear in ``(nu, d0, dm, d1)``.
-    Returns the stack ``H[c, b, s]`` of matrices with step map
-    ``I + sum r1^c rm^b u_s H[c, b, s]``, ``u = (1, r0, nu, d0, dm, d1)``.
-    RK4 runs its stage recursion once on such stacks; a product with the
+    step map is ``I + sum r1^c rm^b u_s H[c, b, s]``, ``u = (1, r0, nu, d0,
+    dm, d1)``, ``(r0, rm, r1)`` the ramp values at the step's start, midpoint
+    and end, and ``b <= 1`` since ``U^2 = 0``.  RK4 runs its stage recursion
+    once on stacks ``(2, 2, 6, ...)`` of such coefficients; a product with the
     drift at a ramp value shifts that value's axis.  Euler's stack is ``dt``
-    times the drift at the step's start, cut to ``[:1, :1, :4]``.
+    times the drift at the step's start.  Returns the exponents ``(c, b, s)``
+    of the nonzero matrices of ``H``, in the stack's order, and those.
     """
     dim = M0.shape[0]
     # the drift at the step's start, midpoint and end: M0 and col_y at 1 and
     # nu, U at that point's ramp value and col_d at its disturbance sample
-    X0, Xm, X1 = np.zeros((3, 2, 3, 6, dim + 1, dim + 1))
+    X0, Xm, X1 = np.zeros((3, 2, 2, 6, dim + 1, dim + 1))
     for X, r, d in ((X0, (0, 0, 1), 3), (Xm, (0, 1, 0), 4), (X1, (1, 0, 0), 5)):
         X[0, 0, 0, :dim, :dim] = M0
         X[r][:dim, :dim] = U
         X[0, 0, 2, :dim, dim] = col_y
         X[0, 0, d, :dim, dim] = col_d
-    if not rk4:
-        return dt * X0[:1, :1, :4]
-    M0h, Uh = X1[0, 0, 0], X1[1, 0, 0]
+    H = dt * X0
+    if rk4:
+        M0h, Uh = X1[0, 0, 0], X1[1, 0, 0]
 
-    def drift_times(X, axis):
-        Y = M0h @ X
-        Y[(slice(None),) * axis + (slice(1, None),)] += (Uh @ X)[(slice(None),) * axis + (slice(None, -1),)]
-        return Y
+        def drift_times(X, axis):
+            Y = M0h @ X
+            Y[(slice(None),) * axis + (1,)] += (Uh @ X)[(slice(None),) * axis + (0,)]
+            return Y
 
-    h = 0.5 * dt
-    P2 = Xm + h * drift_times(X0, 1)
-    P3 = Xm + h * drift_times(P2, 1)
-    P4 = X1 + dt * drift_times(P3, 0)
-    return (dt / 6.0) * (X0 + 2.0 * (P2 + P3) + P4)
+        h = 0.5 * dt
+        P2 = Xm + h * drift_times(X0, 1)
+        P3 = Xm + h * drift_times(P2, 1)
+        P4 = X1 + dt * drift_times(P3, 0)
+        H = (dt / 6.0) * (X0 + 2.0 * (P2 + P3) + P4)
+    terms = np.nonzero(H.any(axis=(-2, -1)))
+    return terms, H[terms]
 
 
-def _step_maps(H, ramp, d, noise):
+def _step_maps(basis, ramp, d, noise):
     """Step maps ``[[Phi, g], [0, 1]]`` of a block, in step order, from the
-    basis ``H`` of ``_basis``; ``ramp`` and ``d`` hold the block's half-grid
-    samples, ``noise`` one draw per step.  The weights are the outer product
-    of the powers ``(1, r1)``, ``(1, rm, rm^2)`` and ``u``, each cut to the
-    length of its axis in ``H``."""
-    (c, b, s), size, steps = H.shape[:3], H.shape[-1], len(noise)
+    ``basis`` of ``_basis``; ``ramp`` and ``d`` hold the block's half-grid
+    samples, ``noise`` one draw per step.  Term ``(c, b, s)`` is weighted by
+    ``(r1^c rm^b) u_s``, read from the powers ``(1, r1)``, ``(1, rm)`` and
+    ``u``, and the weighted terms are summed by one matrix product."""
+    (c, b, s), H = basis
+    size, one = H.shape[-1], np.ones(len(noise))
     r0, rm, r1 = ramp[0:-2:2], ramp[1:-1:2], ramp[2::2]
-    one = np.ones(steps)
-    W = np.stack([one, r0, noise, d[0:-2:2], d[1:-1:2], d[2::2]][:s], axis=-1)
-    if c * b > 1:
-        r1_powers = np.stack([one, r1][:c], axis=-1)
-        rm_powers = np.stack([one, rm, rm * rm][:b], axis=-1)
-        W = (r1_powers[:, :, None] * rm_powers[:, None, :])[..., None] * W[:, None, None, :]
-    A = W.reshape(steps, -1) @ H.reshape(c * b * s, -1)
+    u = np.stack([one, r0, noise, d[0:-2:2], d[1:-1:2], d[2::2]])
+    W = (np.stack([one, r1])[c] * np.stack([one, rm])[b]) * u[s]
+    A = W.T @ H.reshape(len(H), -1)
     # the identity comes last, as in the stage formula: summed in with
     # the basis it would round Phi - I at the scale of I once per term
     A[:, :: size + 1] += 1.0
-    return A.reshape(steps, size, size)
+    return A.reshape(-1, size, size)
 
 
 def _scan(A, Zb):

@@ -429,6 +429,27 @@ CONFIG_REFUSALS = [
 ]
 
 
+LONG = "x" * 100_000
+
+#: (text in fig1's config, its replacement, how the refusal starts): each
+#: value is echoed shortened, in one line, however large it is
+OUTSIZED_CONFIGS = [
+    pytest.param('"a": [', '"a": [' + "[" * 900 + "]" * 900 + ", ", "plant.a: expected a number, got [[[",
+                 id="deep_array"),
+    pytest.param('"a": [', f'"a": ["{LONG}", ', "plant.a: expected a number, got 'xxx", id="long_string"),
+    pytest.param('"harmonic"', "[" + ", ".join(["1"] * 100_000) + "]",
+                 "disturbance.terms: unknown disturbance term type [1, 1", id="long_type_list"),
+    pytest.param('"a": [', f'"{LONG}": 1, "a": [', "plant: unknown keys ['xxx", id="long_key"),
+    pytest.param('"a": [', f'"{LONG}": 1, "{LONG}": 1, "a": [', "repeated key 'xxx", id="long_repeated_key"),
+]
+
+
+def assert_one_short_refusal(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + start), err[:300]
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err) <= 201, err[:300]
+
+
 class TestConfigRefusals:
     @pytest.mark.parametrize("path, value, message", CONFIG_REFUSALS)
     def test_refusal_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, path, value, message):
@@ -454,6 +475,34 @@ class TestConfigRefusals:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: repeated key 'dt'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, start", OUTSIZED_CONFIGS)
+    def test_outsized_value_is_echoed_short(self, tmp_path, capsys, old, new, start):
+        text = json.dumps(cli.SCENARIOS["fig1"])
+        assert old in text
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text.replace(old, new, 1))
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert_one_short_refusal(capsys, start)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, seed, start",
+        [
+            (["scenario", LONG], None, "unknown scenario 'xxx"),
+            (["probe", "--omega", "1," * 50_000 + "x"], None, "--omega expects a comma-separated number list, got '1,"),
+            (["scenario", "fig1"], "9" * 100_000 + "x", "EDO_SEED is not a decimal integer: '999"),
+        ],
+        ids=["scenario_name", "omega_list", "edo_seed"],
+    )
+    def test_outsized_argument_is_echoed_short(self, tmp_path, capsys, monkeypatch, argv, seed, start):
+        if seed is not None:
+            monkeypatch.setenv("EDO_SEED", seed)
+        out_dir = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out_dir)] if argv[0] == "scenario" else argv) == 2
+        assert_one_short_refusal(capsys, start)
+        assert not any(out_dir.glob("*"))
 
     @pytest.mark.parametrize(
         "path, value",
@@ -675,8 +724,21 @@ class TestScenarioAndProbe:
         err = capsys.readouterr().err
         assert err.startswith("synthesis error (Overflow)") and "Warning" not in err
 
-    def test_probe_rejects_garbage(self):
-        assert cli.main(["probe", "--omega", "ten"]) == 2
+    def test_probe_rejects_garbage(self, capsys):
+        # float() reads "1_0" and the Arabic-Indic digits as 10; the intake reads plain ASCII numbers only
+        for omega in ("ten", "1_0", "\u0661\u0660", "10,\u00a010"):
+            assert cli.main(["probe", "--omega", omega]) == 2, omega
+            assert_one_short_refusal(capsys, f"--omega expects a comma-separated number list, got {omega!r}")
+
+    @pytest.mark.parametrize("omega", [",", "", " , "])
+    def test_probe_without_bandwidth_says_so(self, capsys, omega):
+        assert cli.main(["probe", "--omega", omega]) == 2
+        assert capsys.readouterr().err == "config error: --omega: no bandwidth given\n"
+
+    @pytest.mark.parametrize("omega", ["10", "1e3", ".5", " 10", "+10", "10, 100"])
+    def test_probe_reads_plain_numbers(self, capsys, omega):
+        assert cli.main(["probe", "--omega", omega]) == 0
+        capsys.readouterr()
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli.main([]) == 2

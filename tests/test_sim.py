@@ -391,15 +391,20 @@ class TestReferenceStepper:
 class TestOutputRow:
     """The observer and the reported y see ``C x``, whatever the row C."""
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_non_unit_output_row_matches_reference(self, integrator):
-        # observable from y = 0.5 x1 + x2, and no transmission zero at 0
+    @staticmethod
+    def design():
+        """``(plant, observer, feedback, regulator)`` of a plant observable
+        from y = 0.5 x1 + x2, with no transmission zero at 0 and C B = 0.5."""
         gp = GeneralPlant(A=[[0.0, -2.0], [1.0, -3.0]], B=[1.0, 0.0], C=[0.5, 1.0])
         obs = assemble_known_dynamics_observer(gp, [[0.0]], [1.0], [-4.0, -4.0], [-1.0])
         rs = RegulatorSolution(S=np.zeros((2, 1)), Q=obs.d_hat_row[2:])
         fb = StabilizerGain(omega_c=1.0, F=np.array([-1.0, 0.5]), U=np.eye(2))
+        return gp, obs, fb, rs
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_non_unit_output_row_matches_reference(self, integrator):
         cfg = SimConfig(t_end=0.3, dt=1e-3, integrator=integrator, output_ramp=True)
-        assert_run_matches_reference(gp, obs, fb, rs, cfg)
+        assert_run_matches_reference(*self.design(), cfg)
 
 
 class TestGuardAtChunkGranularity:
@@ -487,20 +492,33 @@ def nested_stage_map(A0, Am, A1, b0, bm, b1, dt, rk4):
 
 class TestStepMapBasis:
     """The step maps built from the per-run basis equal the stage formula
-    evaluated at each step's ramp values and forcing."""
+    evaluated at each step's ramp values and forcing, and the basis keeps
+    only its nonzero coefficient matrices: 4 for Euler, and for RK4 fewer
+    the higher the plant's order (18, 13 and 8 at n = 1, 2 and 5; plants
+    with C B != 0, here the first-order one and ``TestOutputRow``'s, keep
+    terms in r1 rm)."""
 
-    @pytest.mark.parametrize("dim", sorted(BLOCK_DESIGNS))
+    #: closed loops by state count, or by plant, and their RK4 matrices kept
+    RK4_KEPT = {5: 13, 7: 13, 15: 8, "first_order": 18, "output_row": 18}
+    FIRST_ORDER = dict(a=[1.0], spectrum=[], p_base=(-1.0,), omega_o=10.0, k_base=(-1.0,))
+
+    @pytest.mark.parametrize("case", list(RK4_KEPT))
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_basis_matches_nested_stages(self, dim, integrator):
-        p, exo, sg, rs, obs, fb = make_design(**BLOCK_DESIGNS[dim])
+    def test_basis_matches_nested_stages(self, case, integrator):
+        if case == "output_row":
+            p, obs, fb, rs = TestOutputRow.design()
+        else:
+            p, exo, sg, rs, obs, fb = make_design(**BLOCK_DESIGNS.get(case, self.FIRST_ORDER))
         M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
-        rk4, dt, steps = integrator == "rk4", 1e-3, 16
+        rk4, dt, steps, dim = integrator == "rk4", 1e-3, 16, M0.shape[0]
+        basis = _basis(M0, U, col_y, col_d, dt, rk4)
+        assert len(basis[1]) == (self.RK4_KEPT[case] if rk4 else 4)
         rng = np.random.default_rng(dim)
         ramp = rng.uniform(0.0, 1.0, 2 * steps + 1)
         ramp[:7] = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0]  # whole steps at 0 and 1, and mixed
         d = rng.standard_normal(2 * steps + 1)
         nu = rng.standard_normal(steps)
-        A = _step_maps(_basis(M0, U, col_y, col_d, dt, rk4), ramp, d, nu)
+        A = _step_maps(basis, ramp, d, nu)
         assert A.shape == (steps, dim + 1, dim + 1)
         assert np.array_equal(A[:, dim], np.tile(np.eye(dim + 1)[dim], (steps, 1)))  # rows (0, 1)
         Phi, g = A[:, :dim, :dim], A[:, :dim, dim]

@@ -1,9 +1,12 @@
 """Print one SHA-256 per group of outputs, to show that a change kept them byte for byte.
 
-Run ``python tools/digest.py`` in two checkouts (copy this file into the
-older one if it lacks it) and compare the lines.  Each checkout digests its
-own ``src``; the seeded inputs come from ``bench/workloads.py``, which is
-imported and not modified.  The groups are:
+``python tools/digest.py`` prints the digests of this checkout's ``src``;
+the seeded inputs come from its ``bench/workloads.py``, which is imported
+and not modified.  ``python tools/digest.py PARENT_CHECKOUT`` digests this
+checkout and ``PARENT_CHECKOUT``, each in its own child process, prints
+``same`` or ``DIFFERS`` per group and exits 1 on any difference;
+``python tools/digest.py ROOT OUT`` is the child, which writes the digests
+of checkout ``ROOT`` to the file ``OUT``.  The groups are:
 
 * ``scenarios``: the 12 files of ``edo scenario fig1..fig4`` and stdout;
 * ``design``: the ``edo design`` reports of the four presets and stdout;
@@ -23,10 +26,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the child of a comparison digests the checkout named on its command line
+ROOT = os.path.abspath(sys.argv[1]) if __name__ == "__main__" and len(sys.argv) == 3 else HERE
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402
@@ -115,11 +121,35 @@ def simulate(work):
 GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate)
 
 
-def main():
+def main(out):
     with tempfile.TemporaryDirectory() as work:
         for group in GROUPS:
-            print(f"{group.__name__:10s} {group(work).hexdigest()}", flush=True)
+            print(f"{group.__name__:10s} {group(work).hexdigest()}", file=out, flush=True)
+
+
+def compare(parent):
+    """Digest this checkout and ``parent`` in child processes; 1 if any group differs."""
+    with tempfile.TemporaryDirectory() as work:
+        digests = []
+        for root in (HERE, os.path.abspath(parent)):
+            path = os.path.join(work, f"{len(digests)}.txt")
+            subprocess.run([sys.executable, os.path.abspath(__file__), root, path], check=True)
+            with open(path, encoding="utf-8") as fh:
+                digests.append(dict(line.split() for line in fh))
+    this, before = digests
+    same = {name: this.get(name) == before.get(name) for name in {**this, **before}}
+    for name, ok in same.items():
+        print(f"{name:10s} {'same' if ok else 'DIFFERS'}")
+    return 0 if all(same.values()) else 1
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) == 1:
+        main(sys.stdout)
+    elif len(sys.argv) == 2:
+        sys.exit(compare(sys.argv[1]))
+    elif len(sys.argv) == 3:
+        with open(sys.argv[2], "w", encoding="utf-8") as fh:
+            main(fh)
+    else:
+        sys.exit(__doc__)
