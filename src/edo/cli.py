@@ -71,12 +71,18 @@ EXIT_DIVERGED = 4
 # configuration parsing
 
 
-def _quoted(value, limit=80):
-    """``repr(value)`` for an error message, of at most ``limit`` characters:
-    ``reprlib`` shortens long strings and lists and deep nesting, and the
-    rest is cut."""
-    text = reprlib.repr(value)
+def _cut(text, limit=200):
+    """``text`` for an error message, of at most ``limit`` characters: a
+    longer one keeps its start and ends in "...".  Paths are cut at the
+    default, so ordinary ones print whole."""
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _quoted(value):
+    """``repr(value)`` for an error message, of at most 80 characters:
+    ``reprlib`` shortens long strings and lists and deep nesting, and
+    ``_cut`` the rest."""
+    return _cut(reprlib.repr(value), 80)
 
 
 def _require_keys(obj, where, keys, optional=()):
@@ -148,7 +154,7 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_object_without_repeats)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read config {_cut(str(path))}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
         # bad syntax, bytes that are not UTF-8, integers beyond the digit limit, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -365,7 +371,7 @@ def _open_outputs(paths):
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+                raise ConfigError(f"cannot write {_cut(path)}: {exc.strerror}") from None
             if new:
                 created.append(path)
             streams.append(open(fd, "w", encoding="utf-8", newline=""))
@@ -535,13 +541,14 @@ def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
 def cmd_scenario(name, out_dir) -> int:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {_quoted(name)}; choose from {sorted(SCENARIOS)}")
+    cfg = parse_config(SCENARIOS[name])  # a refused preset makes no directory
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {_cut(out_dir)}: {exc.strerror}") from None
     stem = os.path.join(out_dir, name)
     with _open_outputs([stem + ".csv", stem + ".svg", stem + "_metrics.json"]) as (csv_fh, svg_fh, json_fh):
-        m = _run_and_emit(parse_config(SCENARIOS[name]), csv_fh, svg_fh)
+        m = _run_and_emit(cfg, csv_fh, svg_fh)
         payload = {
             "scenario": name,
             "tail_window": [m.tail_window[0], m.tail_window[1]],

@@ -444,10 +444,10 @@ OUTSIZED_CONFIGS = [
 ]
 
 
-def assert_one_short_refusal(capsys, start):
+def assert_one_short_refusal(capsys, start, longest=201):
     err = capsys.readouterr().err
     assert err.startswith("config error: " + start), err[:300]
-    assert err.endswith("\n") and err.count("\n") == 1 and len(err) <= 201, err[:300]
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err) <= longest, err[:300]
 
 
 class TestConfigRefusals:
@@ -502,7 +502,22 @@ class TestConfigRefusals:
         out_dir = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out_dir)] if argv[0] == "scenario" else argv) == 2
         assert_one_short_refusal(capsys, start)
-        assert not any(out_dir.glob("*"))
+        assert not out_dir.exists()  # a refused scenario makes no directory
+
+    # paths are cut at 200 characters: a name of 5000 overruns NAME_MAX, one of 100 000 PATH_MAX
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["simulate", "--config", "p" * 100_000, "--out", "run.csv"], "cannot read config ppp"),
+            (["scenario", "fig1", "--out", "q" * 5000], "cannot write qqq"),
+        ],
+        ids=["config_path", "out_path"],
+    )
+    def test_outsized_path_is_echoed_short(self, tmp_path, capsys, monkeypatch, argv, start):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert_one_short_refusal(capsys, start, longest=399)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "path, value",

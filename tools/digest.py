@@ -1,12 +1,20 @@
-"""Print one SHA-256 per group of outputs, to show that a change kept them byte for byte.
+"""Print one SHA-256 per group of outputs, to show that a change kept them
+byte for byte, or how far its trajectories moved.
 
 ``python tools/digest.py`` prints the digests of this checkout's ``src``;
 the seeded inputs come from its ``bench/workloads.py``, which is imported
 and not modified.  ``python tools/digest.py PARENT_CHECKOUT`` digests this
 checkout and ``PARENT_CHECKOUT``, each in its own child process, prints
-``same`` or ``DIFFERS`` per group and exits 1 on any difference;
+``same`` or ``DIFFERS`` per group and exits 1 on any difference.  For the
+trajectory groups (``scenarios``, ``sim_grid`` and ``simulate``) it also
+prints the largest deviation as a fraction of column scale: the largest
+``|this - parent|`` in a trajectory column over the largest ``|parent|`` in
+it, ``inf`` if trip messages or run lengths differ; the ``sim_grid`` cases
+that trip the divergence guard are printed with their message.
 ``python tools/digest.py ROOT OUT`` is the child, which writes the digests
-of checkout ``ROOT`` to the file ``OUT``.  The groups are:
+and trajectories of checkout ``ROOT`` to the ``.npz`` file ``OUT``.
+``EDO_SEED`` is ignored, so that the digests are those of the configured
+seeds.  The groups are:
 
 * ``scenarios``: the 12 files of ``edo scenario fig1..fig4`` and stdout;
 * ``design``: the ``edo design`` reports of the four presets and stdout;
@@ -29,6 +37,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the child of a comparison digests the checkout named on its command line
@@ -56,15 +66,17 @@ def feed_files(h, directory, names):
             h.update(fh.read())
 
 
-def scenarios(work):
+def scenarios(work, runs):
     h = hashlib.sha256()
     for name in workloads.PRESET_NAMES:
         run_cli(h, ["scenario", name, "--out", work])
         feed_files(h, work, [name + suffix for suffix in (".csv", ".svg", "_metrics.json")])
+        tr = cli.run_config(cli.parse_config(cli.SCENARIOS[name]))  # re-run: the command keeps no trajectory
+        runs[f"scenarios/{name}"] = workloads.trajectory_columns(tr)
     return h
 
 
-def design(work):
+def design(work, runs):
     h = hashlib.sha256()
     for name in workloads.PRESET_NAMES:
         config = os.path.join(work, f"{name}.json")
@@ -75,7 +87,7 @@ def design(work):
     return h
 
 
-def sweep(work):
+def sweep(work, runs):
     h = hashlib.sha256()
     for seed in SWEEP_SEEDS:
         for op in workloads.DesignSweep(seed, with_gap=False).ops(traced=False):
@@ -90,66 +102,91 @@ def sweep(work):
     return h
 
 
-def sim_grid(work):
+def sim_grid(work, runs):
     h = hashlib.sha256()
     for cell in range(len(workloads.GRID_CELLS)):
         for variant in range(workloads.GRID_VARIANTS):
             case = workloads.grid_case(cell, variant)
+            key = f"sim_grid/{workloads.GRID_CELLS[cell][0]}/{variant}"
             try:
-                h.update(workloads.trajectory_columns(workloads.simulate_case(Tracer(), case)).tobytes())
+                runs[key] = workloads.trajectory_columns(workloads.simulate_case(Tracer(), case))
+                h.update(runs[key].tobytes())
             except NonFinite as exc:
+                runs[key] = np.array(str(exc))
                 h.update(str(exc).encode())
     return h
 
 
-def probe(work):
+def probe(work, runs):
     h = hashlib.sha256()
     run_cli(h, ["probe", "--omega", "1,10,100,1000"])
     return h
 
 
-def simulate(work):
+def simulate(work, runs):
     h = hashlib.sha256()
     config, out = os.path.join(work, "fig4_cut.json"), os.path.join(work, "fig4_cut.csv")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(workloads.preset_config("fig4"), fh)
     run_cli(h, ["simulate", "--config", config, "--out", out])
     feed_files(h, work, ["fig4_cut.csv"])
+    runs["simulate/fig4"] = workloads.trajectory_columns(cli.run_config(cli.load_config(config)))
     return h
 
 
 GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate)
 
 
-def main(out):
+def digests(runs):
+    """Yield each group's name and digest; its trajectories go into ``runs``."""
     with tempfile.TemporaryDirectory() as work:
         for group in GROUPS:
-            print(f"{group.__name__:10s} {group(work).hexdigest()}", file=out, flush=True)
+            yield group.__name__, group(work, runs).hexdigest()
+
+
+def deviation(got, want):
+    """Largest ``|got - want|`` of a column over the largest ``|want|`` in it."""
+    if got.dtype.kind == "U" or want.dtype.kind == "U" or got.shape != want.shape:
+        return 0.0 if got.dtype == want.dtype and np.array_equal(got, want) else np.inf
+    diff = np.abs(got - want).max(axis=0)
+    scale = np.abs(want).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(diff == 0.0, 0.0, diff / scale).max())
 
 
 def compare(parent):
     """Digest this checkout and ``parent`` in child processes; 1 if any group differs."""
     with tempfile.TemporaryDirectory() as work:
-        digests = []
+        paths = []
         for root in (HERE, os.path.abspath(parent)):
-            path = os.path.join(work, f"{len(digests)}.txt")
-            subprocess.run([sys.executable, os.path.abspath(__file__), root, path], check=True)
-            with open(path, encoding="utf-8") as fh:
-                digests.append(dict(line.split() for line in fh))
-    this, before = digests
-    same = {name: this.get(name) == before.get(name) for name in {**this, **before}}
-    for name, ok in same.items():
-        print(f"{name:10s} {'same' if ok else 'DIFFERS'}")
-    return 0 if all(same.values()) else 1
+            paths.append(os.path.join(work, f"{len(paths)}.npz"))
+            subprocess.run([sys.executable, os.path.abspath(__file__), root, paths[-1]], check=True)
+        with np.load(paths[0]) as this, np.load(paths[1]) as before:
+            differs = False
+            for group in GROUPS:
+                name = group.__name__
+                ok = this[name] == before[name]
+                differs |= not ok
+                keys = sorted(key for key in {*this.files, *before.files} if key.startswith(name + "/"))
+                for key in keys:
+                    if key in this.files and this[key].dtype.kind == "U":
+                        print(f"{key:32s} {this[key]}")
+                devs = [deviation(this[k], before[k]) if k in before.files and k in this.files else np.inf
+                        for k in keys]
+                print(f"{name:10s} {'same' if ok else 'DIFFERS'}" + (f" {max(devs):.3g}" if devs else ""))
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
+    os.environ.pop("EDO_SEED", None)  # would override the configured noise seeds; the children inherit this
     if len(sys.argv) == 1:
-        main(sys.stdout)
+        for name, digest in digests({}):
+            print(f"{name:10s} {digest}", flush=True)
     elif len(sys.argv) == 2:
         sys.exit(compare(sys.argv[1]))
     elif len(sys.argv) == 3:
-        with open(sys.argv[2], "w", encoding="utf-8") as fh:
-            main(fh)
+        runs = {}
+        found = dict(digests(runs))
+        np.savez(sys.argv[2], **found, **runs)
     else:
         sys.exit(__doc__)
