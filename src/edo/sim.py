@@ -8,34 +8,34 @@ per-sample corruption rather than a dt-scaled white-noise model.
 
 The closed loop comes from ``synthesis._loop``, the builder behind
 ``closed_loop`` too, so the drift the design report prints is the drift
-integrated here.  It is linear, its only time variation a scalar ramp on a
-rank-one measurement coupling, and its forcing (disturbance, noise) is
-known in advance.  Each step is therefore an affine map
-``z_{k+1} = Phi_k z_k + g_k``.
+integrated here: ``M0 + r U`` at ramp value r, U a rank-one measurement
+coupling, with its forcing (disturbance, noise) known in advance.  Each
+step is therefore an affine map ``z_{k+1} = Phi_k z_k + g_k``, in
+homogeneous coordinates ``(z, 1)`` the matrix ``[[Phi_k, g_k], [0, 1]]``,
+and a run of steps is a product of them.  A step's map is a polynomial in
+the ramp values at its start, midpoint and end and linear in its forcing
+samples; ``_basis`` builds the nonzero coefficient matrices once per run by
+one pass of the RK4 stage recursion (13 of 24 for RK4 on a second-order
+plant, 4 for Euler), and a block's maps are one matrix product with them.
+A block is run by a work-efficient scan (Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190; Kogge and Stone, IEEE Trans. Computers C-22,
+1973): the up-sweep pairs adjacent maps level by level up to the block's
+total map, and the down-sweep fills in the states from the coarsest stride
+down, one batched product per level.
 
-In homogeneous coordinates, with the state z written as ``(z, 1)``, a step
-is the matrix ``[[Phi_k, g_k], [0, 1]]``, the forcing is the last column of
-the drift, and a run of steps is a product of matrices.  Step maps come
-from a per-run basis.  The drift at ramp value r is ``M0 + r U``, both from
-``_loop``, so a step's map is a polynomial in the ramp values at its start,
-midpoint and end and linear in its forcing samples, with constant
-coefficient matrices.  They are built once per run by one pass of the RK4
-stage recursion on stacks of them, and only the nonzero ones are kept (13
-of 24 for RK4 on a second-order plant, 4 for Euler); a block of steps then
-needs one matrix product for its maps.  The steps are run by
-a work-efficient scan (Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190; Kogge and Stone, IEEE Trans. Computers C-22, 1973) over
-blocks whose maps hold at most ``BLOCK_DOUBLES`` doubles, so that a block's
-length depends on the state dimension alone.  The up-sweep pairs adjacent
-maps level by level until it reaches the block's total map; the down-sweep
-then fills in the states from the coarsest stride down, one batched
-matrix-vector product per level.  A long product of very unstable step maps
-can overflow where the states do not (inf * 0 on a zero state), so a block
-whose first row beyond the guard is not finite is swept again one step at a
-time from its start before the guard reports.  The divergence guard is
-checked once per block but reports the exact first grid point beyond it.
-Everything is a pure function of its inputs including the seed, so runs are
-bit-reproducible and safely parallel.
+The run is split once, at the first step after the last ramp sample that
+is not 1.0: the first step with ``output_ramp`` off, and with it on a step
+near t = 37.43, beyond which ``1 - exp(-t)`` rounds to 1.0.  From there
+every step has the same Phi, summed from the basis, so those blocks carry
+only their forcing and the powers of Phi, O(L dim^2) work against
+O(L dim^3).  A block holds at most ``BLOCK_DOUBLES`` doubles of maps, or of
+states after the split, so its length depends on the state dimension
+alone.  A long product of unstable maps, or a high power of Phi, can
+overflow where the states do not (inf * 0 on a zero state), so a block
+whose first row beyond the guard is not finite is stepped again one step
+at a time before the guard, checked once per block, reports the exact
+first grid point beyond it.  Runs are pure functions of their inputs, seed
+included, so they are bit-reproducible and safely parallel.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def simulate(
     dt = cfg.dt
     dim = M0.shape[0]
     try:
-        Z = np.empty((N + 1, dim + 1))  # the states in homogeneous coordinates
+        Z = np.ones((N + 1, dim + 1))  # the states in homogeneous coordinates
         half_times = np.arange(2 * N + 1) * (dt / 2.0)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
@@ -172,23 +172,36 @@ def simulate(
         # the residue keeps every nonnegative seed's stream and runs the negative ones
         noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
 
-    Z[0] = np.concatenate([x0, z_obs0, [1.0]])
+    Z[0, :dim] = np.concatenate([x0, z_obs0])
+    # K: the first step after the last ramp sample that is not 1.0; from it on, one Phi
+    K = min(N, np.flatnonzero(ramp_half != 1.0)[-1] // 2 + 1) if cfg.output_ramp else 0
     # a diverging block may overflow past its first bad row; the guard
     # below reports that row, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
         basis = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
-        block = _block_steps(dim)
-        for k0 in range(0, N, block):
-            k1 = min(k0 + block, N)
-            j = slice(2 * k0, 2 * k1 + 1)
-            maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
-            rows = Z[k0 : k1 + 1]
-            _scan(_step_maps(*maps), rows)
+        # at ramp 1.0 Phi sums _step_maps' terms with s <= 1, G4[s - 2] the forcing of those with s
+        sums = np.tensordot(np.arange(1, 6)[:, None] == np.maximum(basis[0][2], 1), basis[1], 1)
+        Phi, G4 = sums[0, :dim, :dim] + np.eye(dim), sums[1:, :dim, dim]
+        block, const_block = _block_steps(dim), _block_steps(dim, constant=True)
+        blocks = [(k0, min(k0 + block, K)) for k0 in range(0, K, block)]
+        blocks += [(k0, min(k0 + const_block, N)) for k0 in range(K, N, const_block)]
+        for k0, k1 in blocks:
+            j, rows = slice(2 * k0, 2 * k1 + 1), Z[k0 : k1 + 1]
+            if k0 < K:
+                maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
+                _scan(_step_maps(*maps), rows)
+            else:
+                f = np.stack([noise[k0:k1], d_half[j][0:-2:2], d_half[j][1:-1:2], d_half[j][2::2]], axis=1)
+                _scan_constant(Phi, f @ G4, rows[:, :dim])
             bad = _first_bad(rows)
             if bad is not None and not np.isfinite(rows[bad]).all():
-                # overflowed in a long product: step the block from its start
-                for k, A in enumerate(_step_maps(*maps)):
-                    rows[k + 1] = A @ rows[k]
+                # overflowed in a long product or a power of Phi: step the block from its start
+                if k0 < K:
+                    for k, A in enumerate(_step_maps(*maps)):
+                        rows[k + 1] = A @ rows[k]
+                else:
+                    for k, g in enumerate(f @ G4):
+                        rows[k + 1, :dim] = Phi @ rows[k, :dim] + g
                 bad = _first_bad(rows)
             if bad is not None:
                 raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
@@ -200,10 +213,10 @@ def simulate(
     )
 
 
-def _block_steps(dim):
-    """Steps per block: as many as hold at most ``BLOCK_DOUBLES`` doubles of
-    maps of ``dim`` states in homogeneous coordinates, and at least one."""
-    return max(1, BLOCK_DOUBLES // (dim + 1) ** 2)
+def _block_steps(dim, constant=False):
+    """Steps per block: as many as hold at most ``BLOCK_DOUBLES`` doubles of maps
+    in homogeneous coordinates, or of states if ``constant``, and at least one."""
+    return max(1, BLOCK_DOUBLES // (dim if constant else (dim + 1) ** 2))
 
 
 def _first_bad(rows):
@@ -296,6 +309,21 @@ def _scan(A, Zb):
         s //= 2
 
 
+def _scan_constant(Phi, g, z):
+    """``_scan`` of steps ``z[k + 1] = Phi z[k] + g[k]`` that share ``Phi``, the
+    states as rows: the map of s steps is ``Phi^s`` and a forcing, so the sweeps
+    carry only the forcing and one power of Phi per level, O(L dim^2) work."""
+    L, powers, s = len(g), [Phi.T], 1
+    while 2 * s <= L:
+        end = L - L % (2 * s)
+        g[2 * s - 1 : end : 2 * s] += g[s - 1 : end : 2 * s] @ powers[-1]
+        powers.append(powers[-1] @ powers[-1])
+        s *= 2
+    while s:
+        z[s :: 2 * s] = z[: L + 1 - s : 2 * s] @ powers.pop() + g[s - 1 :: 2 * s]
+        s //= 2
+
+
 @dataclass(frozen=True)
 class ErrorMetrics:
     """Tail-window error maxima and the full-horizon transient peak."""
@@ -339,6 +367,8 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     the table across bandwidths is the numerical signature that high gain
     absorbs a bounded unknown input.
     """
+    if np.ndim(t_grid) != 1 or not np.size(t_grid) or not all(map(math.isfinite, map(linalg.as_float, t_grid))):
+        raise ValueError("t_grid must be a nonempty 1-D sequence of finite times")
     t_grid = np.asarray(t_grid, dtype=float)
     table = []
     for w in map(_bandwidth, omegas):

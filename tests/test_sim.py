@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 import warnings
@@ -407,72 +408,111 @@ class TestOutputRow:
         assert_run_matches_reference(*self.design(), cfg)
 
 
+@functools.lru_cache(maxsize=None)
+def open_loop_magnitude(cfg, scale):
+    """Largest state magnitude at each grid point of the reference run of
+    ``test_divergence_guard``'s open loop from ``x0 = (scale, 0)``."""
+    p, exo, sg, rs, obs, _ = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+    ref = reference_run(p, obs, None, rs, Constant(0.0), cfg, [scale, 0.0], np.zeros(3))
+    return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
+
+
 class TestGuardAtChunkGranularity:
     """The divergence guard reports the first bad grid point wherever it
-    falls in the scan of a block, which is checked as a whole.
+    falls in the scan of a block, which is checked as a whole, on either
+    path.
 
     The open loop of ``test_divergence_guard`` is linear in ``x0`` and its
     state magnitude rises at every step, so scaling ``x0`` places the first
-    point beyond 1e12 at any chosen row.  It has 5 states, so its blocks
-    hold ``BLOCK`` = 910 steps, and its third holds the last 179.
+    point beyond 1e12 at any chosen row.  It has 5 states.  With the ramp on
+    (rows labelled by number alone) its blocks hold 910 steps, and the third
+    of its 1999 steps holds the last 179; with the ramp off they hold 6553
+    steps, and the third of 13285 the last 179.
     """
 
-    STEPS = 1999
-    BLOCK = _block_steps(5)
+    #: path: (config, steps, block length)
+    PATHS = {
+        "ramp": (SimConfig(t_end=19.99, dt=1e-2, output_ramp=True), 1999, _block_steps(5)),
+        "const": (SimConfig(t_end=13.285, dt=1e-3), 13285, _block_steps(5, constant=True)),
+    }
+    ROWS = {
+        "ramp": [
+            1,                      # the first step
+            65,                     # an odd row: the down-sweep's last level
+            88, 192,                # rows it reaches at strides 8 and 64
+            512,                    # a power of two: the block's top stride
+            910, 911,               # last row of a block, first of the next
+            1296, 1297,             # inside the second block
+            1821, 1989,             # first row of the last, short block, and one inside it
+        ],
+        "const": [
+            1, 65,                  # the first step, an odd row
+            4096,                   # a power of two: the block's top stride
+            6553, 6554,             # last row of a block, first of the next
+            10649,                  # the second block's top stride
+            13107, 13275,           # first row of the last, short block, and one inside it
+        ],
+    }
 
-    def setup_method(self):
-        self.design = make_design([2.0, 1.0], [], (-1.0,), 10.0)
-        self.cfg = SimConfig(t_end=19.99, dt=1e-2)
-        assert self.cfg.steps == self.STEPS and self.BLOCK == 910
-        assert 2 * self.BLOCK < self.STEPS < 3 * self.BLOCK
+    def test_block_lengths(self):
+        for path, (cfg, steps, block) in self.PATHS.items():
+            assert cfg.steps == steps and 2 * block < steps < 3 * block, path
+        assert [block for _, _, block in self.PATHS.values()] == [910, 6553]
 
-    def run_reference(self, scale):
-        p, exo, sg, rs, obs, _ = self.design
-        ref = reference_run(p, obs, None, rs, Constant(0.0), self.cfg, [scale, 0.0], np.zeros(3))
-        return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
-
-    @pytest.mark.parametrize("row", [
-        1,                                   # the first step
-        65,                                  # an odd row: the down-sweep's last level
-        88, 192,                             # rows it reaches at strides 8 and 64
-        512,                                 # a power of two: the block's top stride
-        BLOCK, BLOCK + 1,                    # last row of a block, first of the next
-        1296, 1297,                          # inside the second block
-        2 * BLOCK + 1, 1989,                 # first row of the last, short block, and one inside it
-    ])
-    def test_reports_first_bad_grid_point(self, row):
-        p, exo, sg, rs, obs, _ = self.design
+    @pytest.mark.parametrize("path, row", [pytest.param("ramp", row, id=str(row)) for row in ROWS["ramp"]]
+                             + [pytest.param("const", row, id=f"const-{row}") for row in ROWS["const"]])
+    def test_reports_first_bad_grid_point(self, path, row):
+        p, exo, sg, rs, obs, _ = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        cfg = self.PATHS[path][0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            unit = self.run_reference(1.0)
+            unit = open_loop_magnitude(cfg, 1.0)
             assert np.all(np.diff(unit) > 0.0)
             scale = 1e12 / np.sqrt(unit[row - 1] * unit[row])
-            first_bad = int(np.argmax(self.run_reference(scale) > 1e12))
+            # the reference is causal: its first ``row`` steps are those of the full run
+            head = dataclasses.replace(cfg, t_end=round(row * cfg.dt, 12))
+            first_bad = int(np.argmax(open_loop_magnitude(head, scale) > 1e12))
             assert first_bad == row
             with pytest.raises(NonFinite) as info:
-                simulate(p, obs, None, rs, Constant(0.0), self.cfg, [scale, 0.0], np.zeros(3))
-        assert str(info.value).endswith(f"at t={first_bad * self.cfg.dt:.6g}")
+                simulate(p, obs, None, rs, Constant(0.0), cfg, [scale, 0.0], np.zeros(3))
+        assert str(info.value).endswith(f"at t={first_bad * cfg.dt:.6g}")
 
 
 class TestBlockEdges:
     """Runs that end just before, on and just past a block edge, and two
     that end in a short third block, against the per-step reference.  The
-    block length depends on the state dimension.  The last block of
-    ``2block+3`` has 3 steps and that of ``2block+chunk+3`` 19, whose
-    down-sweep starts at a stride of 16 (the chunk of its label)."""
+    block length depends on the state dimension and the path: ramped runs
+    hold maps, and constant runs, which hold states, have longer blocks.
+    The last block of ``2block+3`` has 3 steps and that of
+    ``2block+chunk+3`` 19, whose down-sweep starts at a stride of 16 (the
+    chunk of its label)."""
 
     @pytest.mark.parametrize("dim", sorted(BLOCK_DESIGNS))
     @pytest.mark.parametrize("edge", ["block-1", "block", "block+1", "2block+3", "2block+chunk+3"])
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("ramp, noise", [(True, 0.01), (False, 0.0)], ids=["ramp-noise", "const-quiet"])
     def test_block_edges_match_reference(self, dim, edge, integrator, ramp, noise):
-        block = _block_steps(dim)
+        block = _block_steps(dim, constant=not ramp)
         steps = {"block-1": block - 1, "block": block, "block+1": block + 1, "2block+3": 2 * block + 3,
                  "2block+chunk+3": 2 * block + 19}[edge]
         cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, integrator=integrator, noise_std=noise, seed=11,
                         output_ramp=ramp)
         assert cfg.steps == steps
         assert_matches_reference(BLOCK_DESIGNS[dim], cfg)
+
+
+class TestPathSwitch:
+    """A ramped run is split once, at the first step after its last ramp
+    sample that is not 1.0, near t = 37.43: the maps path runs up to there,
+    its last block cut short, and the constant path runs the rest."""
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_ramped_run_past_the_split_matches_reference(self, integrator):
+        cfg = SimConfig(t_end=40.0, dt=1e-2, integrator=integrator, noise_std=0.01, seed=13, output_ramp=True)
+        ramp = 1.0 - np.exp(-np.arange(2 * cfg.steps + 1) * (cfg.dt / 2.0))
+        split = np.flatnonzero(ramp != 1.0)[-1] // 2 + 1
+        assert 37.42 < split * cfg.dt < 37.44 and split % _block_steps(5) != 0
+        assert_matches_reference(BLOCK_DESIGNS[5], cfg)
 
 
 def nested_stage_map(A0, Am, A1, b0, bm, b1, dt, rk4):
@@ -531,25 +571,38 @@ class TestStepMapBasis:
 
 
 class TestOverflowingChunkMaps:
-    def test_zero_state_stays_zero(self):
-        # at dt * omega_o = 1e6 the block's total map overflows, so the state
-        # the down-sweep computes from it is inf * 0 = NaN; the block is swept
-        # again one step at a time, and the states are exactly zero
-        p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 1e10, omega_c=10.0)
-        cfg = SimConfig(t_end=0.05, dt=1e-4, output_ramp=True)
-        steps = cfg.steps  # the run is one block
+    # at dt * omega_o = 1e6 a product of many step maps overflows, so a
+    # state the down-sweep computes from it is inf * 0 = NaN; the block is
+    # swept again one step at a time, and the states are exactly zero
+    DESIGN = dict(a=[2.0, 1.0], spectrum=[], p_base=(-1.0,), omega_o=1e10, omega_c=10.0)
+
+    def run_from_zero(self, ramp):
+        p, exo, sg, rs, obs, fb = make_design(**self.DESIGN)
+        cfg = SimConfig(t_end=0.05, dt=1e-4, output_ramp=ramp)
+        steps = cfg.steps  # the run is one block on either path
         assert steps == 500 and _block_steps(5) >= steps
         M0, U, col_y, col_d, _ = _loop(p, obs, fb, rs)
-        ramp = 1.0 - np.exp(-np.arange(2 * steps + 1) * (cfg.dt / 2.0))
+        samples = 1.0 - np.exp(-np.arange(2 * steps + 1) * (cfg.dt / 2.0)) if ramp else np.ones(2 * steps + 1)
         zeros = np.zeros(2 * steps + 1)
-        A = _step_maps(_basis(M0, U, col_y, col_d, cfg.dt, True), ramp, zeros, zeros[:steps])
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = functools.reduce(lambda P, Ak: Ak @ P, A)
-        assert np.all(np.isfinite(A)) and not np.all(np.isfinite(total))
+        A = _step_maps(_basis(M0, U, col_y, col_d, cfg.dt, True), samples, zeros, zeros[:steps])
         tr = simulate(p, obs, fb, rs, Constant(0.0), cfg, [0.0, 0.0], np.zeros(obs.dim))
         assert tr.times.size == 501
         for field in ("x", "x_hat", "v_hat", "d_hat", "u", "y"):
             assert not np.any(getattr(tr, field)), field
+        return A
+
+    def test_zero_state_stays_zero(self):
+        A = self.run_from_zero(ramp=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = functools.reduce(lambda P, Ak: Ak @ P, A)
+        assert np.all(np.isfinite(A)) and not np.all(np.isfinite(total))
+
+    def test_zero_state_stays_zero_without_ramp(self):
+        # every step shares one Phi, and its 256th power overflows
+        A = self.run_from_zero(ramp=False)
+        assert np.all(A == A[0]) and np.all(np.isfinite(A))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(np.linalg.matrix_power(A[0], 256)))
 
 
 class TestWorkingSet:
@@ -559,12 +612,12 @@ class TestWorkingSet:
     would hold N * 15 * 15 doubles, about 36 MB at N = 20 000.
     """
 
-    def peak_mb(self, steps):
+    def peak_mb(self, steps, ramp):
         base = (-1.0, -5.0, -10.0, -10.0, -5.0)
         p, exo, sg, rs, obs, fb = make_design([1.0, -2.0, 0.5, 0.3, -1.0], [2j, -2j, 5j, -5j], base, 5.0,
                                               k_base=base)
         assert p.n + obs.dim == 15
-        cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, output_ramp=True)
+        cfg = SimConfig(t_end=steps * 1e-3, dt=1e-3, output_ramp=ramp)
         assert cfg.steps == steps
         x0 = np.linspace(0.5, -0.5, p.n)
         tracemalloc.start()
@@ -576,11 +629,17 @@ class TestWorkingSet:
             tracemalloc.stop()
         return (peak - before) / 1e6
 
-    def test_peak_grows_only_with_the_records(self):
-        short = self.peak_mb(2000)
-        long = self.peak_mb(20000)
+    def assert_peak_grows_only_with_the_records(self, ramp):
+        short = self.peak_mb(2000, ramp)
+        long = self.peak_mb(20000, ramp)
         assert short <= 1.5
         assert long - short <= 4.0
+
+    def test_peak_grows_only_with_the_records(self):
+        self.assert_peak_grows_only_with_the_records(ramp=True)
+
+    def test_constant_path_peak_grows_only_with_the_records(self):
+        self.assert_peak_grows_only_with_the_records(ramp=False)
 
 
 class TestHighGainProbe:
@@ -629,6 +688,10 @@ def short_run(x0=(0.0, 1.0), obs0=(0.0, 0.0, 0.0)):
     return simulate(p, obs, fb, rs, Constant(0.0), SimConfig(0.1, 0.01), x0, obs0)
 
 
+def probe(t_grid):
+    return high_gain_probe(GainBase(k=(-1.0, -2.0), p=(-1.0,)), canonical_plant([0.0, 0.0]), [5.0], t_grid)
+
+
 #: Library refusals of this module: (call, exception, what the message says).
 REFUSALS = {
     "seed_above_int64": (lambda: SimConfig(1.0, 0.1, seed=2**63), ValueError, "seed must fit a 64-bit integer"),
@@ -641,6 +704,12 @@ REFUSALS = {
     "observer0_size": (lambda: short_run(obs0=np.zeros(4)), DimensionMismatch, "initial states"),
     "tail_fraction_zero": (lambda: metrics(short_run(), 0.0), ValueError, "tail_fraction must lie in"),
     "tail_fraction_one": (lambda: metrics(short_run(), 1.0), ValueError, "tail_fraction must lie in"),
+    "probe_grid_empty": (lambda: probe([]), ValueError, "t_grid must be a nonempty 1-D"),
+    "probe_grid_2d": (lambda: probe([[0.0, 0.5], [1.0, 1.5]]), ValueError, "t_grid must be a nonempty 1-D"),
+    "probe_grid_scalar": (lambda: probe(1.0), ValueError, "t_grid must be a nonempty 1-D"),
+    "probe_grid_nan": (lambda: probe([0.0, float("nan")]), ValueError, "sequence of finite times"),
+    "probe_grid_inf": (lambda: probe(np.array([np.inf])), ValueError, "sequence of finite times"),
+    "probe_grid_huge_int": (lambda: probe([0, 10**400]), ValueError, "sequence of finite times"),
 }
 
 
