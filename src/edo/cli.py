@@ -24,7 +24,6 @@ import json
 import math
 import os
 import re
-import reprlib
 import stat
 import sys
 from contextlib import contextmanager
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, shortest
 from .disturbance import (
     Constant,
     ExpThenHold,
@@ -71,26 +70,12 @@ EXIT_DIVERGED = 4
 # configuration parsing
 
 
-def _cut(text, limit=200):
-    """``text`` for an error message, of at most ``limit`` characters: a
-    longer one keeps its start and ends in "...".  Paths are cut at the
-    default, so ordinary ones print whole."""
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _quoted(value):
-    """``repr(value)`` for an error message, of at most 80 characters:
-    ``reprlib`` shortens long strings and lists and deep nesting, and
-    ``_cut`` the rest."""
-    return _cut(reprlib.repr(value), 80)
-
-
 def _require_keys(obj, where, keys, optional=()):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - set(keys) - set(optional)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {_quoted(sorted(unknown))}")
+        raise ConfigError(f"{where}: unknown keys {linalg.echo(sorted(unknown))}")
     missing = set(keys) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
@@ -98,10 +83,10 @@ def _require_keys(obj, where, keys, optional=()):
 
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {_quoted(value)}")
+        raise ConfigError(f"{where}: expected a number, got {linalg.echo(value)}")
     value = linalg.as_float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {_quoted(value)}")
+        raise ConfigError(f"{where}: expected a finite number, got {linalg.echo(value)}")
     return value
 
 
@@ -131,7 +116,7 @@ def _parse_term(obj, where) -> Signal:
     if kind == "exp_then_hold":
         _require_keys(obj, where, ("type", "switch_time"))
         return ExpThenHold(_number(obj["switch_time"], where))
-    raise ConfigError(f"{where}: unknown disturbance term type {_quoted(kind)}")
+    raise ConfigError(f"{where}: unknown disturbance term type {linalg.echo(kind)}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,7 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_object_without_repeats)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {_cut(str(path))}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read config {linalg.cut(str(path))}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:
         # bad syntax, bytes that are not UTF-8, integers beyond the digit limit, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -165,7 +150,7 @@ def _object_without_repeats(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"repeated key {_quoted(key)}")
+            raise ConfigError(f"repeated key {linalg.echo(key)}")
         obj[key] = value
     return obj
 
@@ -257,7 +242,7 @@ def _apply_seed_override(seed: int) -> int:
         return seed
     match = re.fullmatch(r"([+-]?)0*([0-9]+)", raw)  # ASCII digits only: no "_", spaces or other scripts
     if match is None:
-        raise ConfigError(f"EDO_SEED is not a decimal integer: {_quoted(raw)}")
+        raise ConfigError(f"EDO_SEED is not a decimal integer: {linalg.echo(raw)}")
     sign, digits = match.groups()
     if len(digits) > 19 or not (-(2**63) <= int(sign + digits) < 2**63):
         raise ConfigError("EDO_SEED does not fit a 64-bit integer")
@@ -371,7 +356,7 @@ def _open_outputs(paths):
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             except OSError as exc:
-                raise ConfigError(f"cannot write {_cut(path)}: {exc.strerror}") from None
+                raise ConfigError(f"cannot write {linalg.cut(path)}: {exc.strerror}") from None
             if new:
                 created.append(path)
             streams.append(open(fd, "w", encoding="utf-8", newline=""))
@@ -388,7 +373,15 @@ def _open_outputs(paths):
         fh.close()
 
 
+#: Values per formatted CSV block: a block is whole rows, stacked from the
+#: trajectory's columns, so the full table is never copied.
+CSV_CHUNK = 2048
+
+
 def write_csv(fh, tr: Trajectory) -> None:
+    """Header, then one line per grid point; each value is written exactly as
+    ``repr(float)`` writes it, the shortest text that reads back as the same
+    double."""
     n = tr.x.shape[1]
     v_dim = tr.v_hat.shape[1]
     header = (
@@ -398,11 +391,11 @@ def write_csv(fh, tr: Trajectory) -> None:
         + [f"vhat{i + 1}" for i in range(v_dim)]
         + ["d", "dhat", "u", "y"]
     )
-    table = np.column_stack([tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y])
+    columns = (tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y)
     fh.write(",".join(header) + "\n")
-    for row in table:
-        # repr is the shortest digit string that round-trips the double
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
+    rows = max(1, CSV_CHUNK // len(header))
+    for start in range(0, tr.times.size, rows):
+        fh.write(shortest.csv_text(np.column_stack([c[start : start + rows] for c in columns])))
 
 
 def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
@@ -540,12 +533,12 @@ def cmd_simulate(config_path, out_csv, out_svg=None) -> int:
 
 def cmd_scenario(name, out_dir) -> int:
     if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {_quoted(name)}; choose from {sorted(SCENARIOS)}")
+        raise ConfigError(f"unknown scenario {linalg.echo(name)}; choose from {sorted(SCENARIOS)}")
     cfg = parse_config(SCENARIOS[name])  # a refused preset makes no directory
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot write {_cut(out_dir)}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {linalg.cut(out_dir)}: {exc.strerror}") from None
     stem = os.path.join(out_dir, name)
     with _open_outputs([stem + ".csv", stem + ".svg", stem + "_metrics.json"]) as (csv_fh, svg_fh, json_fh):
         m = _run_and_emit(cfg, csv_fh, svg_fh)
@@ -569,7 +562,7 @@ def cmd_probe(omega_list) -> int:
             raise ValueError
         omegas = [_number(float(tok), "--omega") for tok in omega_list.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"--omega expects a comma-separated number list, got {_quoted(omega_list)}") from None
+        raise ConfigError(f"--omega expects a comma-separated number list, got {linalg.echo(omega_list)}") from None
     if not omegas:
         raise ConfigError("--omega: no bandwidth given")
     if any(w <= 0.0 for w in omegas):

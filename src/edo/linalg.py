@@ -7,6 +7,7 @@ functions are pure and operate on plain ``numpy`` arrays.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 from scipy.linalg import expm as _expm_pade
@@ -22,6 +23,8 @@ __all__ = [
     "as_float",
     "finite_floats",
     "finite_complexes",
+    "cut",
+    "echo",
 ]
 
 #: Margin on the real axis for Hurwitz classification.
@@ -91,11 +94,33 @@ def as_float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def cut(text: str, limit: int = 200) -> str:
+    """``text`` for an error message, of at most ``limit`` characters: a
+    longer one keeps its start and ends in "...".  Paths are cut at the
+    default, so ordinary ones print whole."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def echo(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, of at most ``limit`` characters:
+    ``reprlib`` shortens long strings and sequences and deep nesting, and
+    ``cut`` the rest."""
+    return cut(reprlib.repr(value), limit)
+
+
+def _refuse_nonfinite(values: tuple, finite: list, what: str):
+    """The refusal of ``values``, bounded: the shortened values and the first
+    entry that is not finite, which the shortening may have left out."""
+    first = finite.index(False)
+    return ValueError(f"{what} must be finite, got {echo(values)}; entry {first} is {echo(values[first])}")
+
+
 def finite_floats(values, what: str) -> tuple:
     """``values`` as a tuple of floats; refuses (ValueError) any that is not finite."""
     values = tuple(map(as_float, values))
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {values}")
+    finite = list(map(math.isfinite, values))
+    if not all(finite):
+        raise _refuse_nonfinite(values, finite, what)
     return values
 
 
@@ -110,6 +135,7 @@ def finite_complexes(values, what: str) -> tuple:
     """``values`` as a tuple of complex numbers, an int beyond the double range
     read as inf of its sign; refuses (ValueError) any that is not finite."""
     values = tuple(map(_as_complex, values))
-    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in values):
-        raise ValueError(f"{what} must be finite, got {values}")
+    finite = [math.isfinite(z.real) and math.isfinite(z.imag) for z in values]
+    if not all(finite):
+        raise _refuse_nonfinite(values, finite, what)
     return values

@@ -230,9 +230,28 @@ class TestSimulateCommand:
         cells = lines[1].split(",")
         assert float(cells[0]) == 0.0
         assert float(cells[2]) == 1.0  # x2(0)
-        # every cell parses back to a float exactly once more
-        rejoined = ",".join(repr(float(c)) for c in cells)
-        assert rejoined == lines[1]
+        # every cell of every row parses back to a float exactly once more
+        for line in lines[1:]:
+            assert ",".join(repr(float(c)) for c in line.split(",")) == line
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_csv_block_joins_match_the_row_loop(self, extra):
+        # 1 row, and one block of whole rows less one, exactly, and plus one
+        width = 1 + 2 + 2 + 3 + 4
+        rows = 1 if extra is None else cli.CSV_CHUNK // width + extra
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-30, 30, (rows, width))
+        table[rng.random((rows, width)) < 0.1] = -0.0
+        table[rng.random((rows, width)) < 0.1] = 0.0
+        table[:, 1] = np.round(table[:, 1])
+        tr = Trajectory(times=table[:, 0], x=table[:, 1:3], x_hat=table[:, 3:5], v_hat=table[:, 5:8],
+                        d=table[:, 8], d_hat=table[:, 9], u=table[:, 10], y=table[:, 11])
+        buf = io.StringIO()
+        cli.write_csv(buf, tr)
+        # the per-row loop the block writer replaced, as the reference
+        expected = "t,x1,x2,xhat1,xhat2,vhat1,vhat2,vhat3,d,dhat,u,y\n"
+        expected += "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
+        assert buf.getvalue() == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

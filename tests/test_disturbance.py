@@ -235,6 +235,8 @@ REFUSALS = {
     "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]),
                           r"exosystem spectrum must be finite, got \(\(inf\+0j\),\)"),
     "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), r"exosystem spectrum must be finite, got \(\(nan\+0j\),\)"),
+    "spectrum_long_nan": (lambda: exosystem_from_spectrum([0.0] * 100_000 + [NAN]),
+                          r"\A(?=exosystem spectrum must be finite, got .*\(nan\+0j\)).{1,200}\Z"),
     "spectrum_infinite_carrier": (lambda: exosystem_from_spectrum([complex(0.0, INF), complex(0.0, -INF)]),
                                   "exosystem spectrum must be finite"),
 }

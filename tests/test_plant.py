@@ -32,6 +32,9 @@ REFUSALS = {
     "a_inf": (lambda: Plant(a=(float("-inf"),), b=(1.0,)), ValueError, r"plant a must be finite, got \(-inf,\)"),
     "a_huge_int": (lambda: Plant(a=(10**400,), b=(1.0,)), ValueError, r"plant a must be finite, got \(inf,\)"),
     "b_huge_negative_int": (lambda: Plant(a=(1.0,), b=(-(10**400),)), ValueError, r"plant b must be finite, got \(-inf"),
+    # a long input is echoed shortened, and the message still names the value refused
+    "a_long_nan": (lambda: Plant(a=(0.0,) * 100_000 + (float("nan"),), b=(1.0,) * 100_001), ValueError,
+                   r"\A(?=plant a must be finite, got .*\bnan\b).{1,200}\Z"),
     "A_not_square": (lambda: GeneralPlant(A=np.zeros((2, 3)), B=[1.0, 0.0], C=[0.0, 1.0]), ValueError,
                      "A must be square"),
     "B_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0], C=[0.0, 1.0]), ValueError, "B and C must match"),

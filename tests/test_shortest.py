@@ -1,0 +1,51 @@
+import math
+
+import numpy as np
+import pytest
+
+from edo.shortest import csv_text
+
+
+def formatted(values):
+    """``csv_text`` of ``values`` as one column, one string per value."""
+    values = np.asarray(values, dtype=np.float64)
+    return csv_text(values.reshape(-1, 1)).split("\n")[:-1]
+
+
+def mismatches(values, block=20_000):
+    values = np.asarray(values, dtype=np.float64)
+    got = [text for start in range(0, values.size, block) for text in formatted(values[start : start + block])]
+    assert len(got) == values.size
+    return [(g, repr(v)) for g, v in zip(got, values.tolist()) if g != repr(v)]
+
+
+def with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    both = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    both = both[np.isfinite(both)]
+    return np.concatenate([both, -both])
+
+
+def test_random_bit_patterns_match_repr():
+    # every exponent, subnormals and both signs included
+    bits = np.random.default_rng(20201113).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    subnormal = np.random.default_rng(5).integers(1, 2**52, size=20_000, dtype=np.uint64).view(np.float64)
+    assert mismatches(np.concatenate([values, subnormal, -subnormal])) == []
+
+
+def test_boundaries_match_repr():
+    smallest_normal = 2.2250738585072014e-308
+    special = [0.0, -0.0, 5e-324, np.nextafter(smallest_normal, 0.0), smallest_normal, 1.7976931348623157e308]
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+    near_2_53 = 2.0**53 + np.arange(-20.0, 21.0)
+    switch_points = [1e-4, 1e-5, 1e16, 9999999999999998.0, 0.00010000000000000002]
+    assert mismatches(np.concatenate([special, with_neighbours(powers), near_2_53, -near_2_53,
+                                      with_neighbours(switch_points)])) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_refused(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        csv_text(np.array([[1.0, bad]]))
