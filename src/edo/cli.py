@@ -194,8 +194,6 @@ def parse_config(raw) -> RunConfig:
     _require_keys(sim_raw, "sim", ("t_end", "dt", "integrator", "noise_std", "seed", "output_ramp"))
     if not isinstance(sim_raw["seed"], int) or isinstance(sim_raw["seed"], bool):
         raise ConfigError("sim.seed must be an integer")
-    if not isinstance(sim_raw["output_ramp"], bool):
-        raise ConfigError("sim.output_ramp must be a boolean")
     seed = _apply_seed_override(sim_raw["seed"])
     try:
         sim_cfg = SimConfig(

@@ -6,6 +6,7 @@ functions are pure and operate on plain ``numpy`` arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
 import reprlib
 
@@ -108,20 +109,21 @@ def echo(value, limit: int = 80) -> str:
     return cut(reprlib.repr(value), limit)
 
 
-def _refuse_nonfinite(values: tuple, finite: list, what: str):
-    """The refusal of ``values``, bounded: the shortened values and the first
-    entry that is not finite, which the shortening may have left out."""
-    first = finite.index(False)
-    return ValueError(f"{what} must be finite, got {echo(values)}; entry {first} is {echo(values[first])}")
+def _finite(values, convert, what: str) -> tuple:
+    """``values`` converted one by one; refuses (ValueError) any that is not
+    finite, bounded: the shortened values and the first entry that is not
+    finite, which the shortening may have left out."""
+    values = tuple(map(convert, values))
+    finite = list(map(cmath.isfinite, values))
+    if not all(finite):
+        first = finite.index(False)
+        raise ValueError(f"{what} must be finite, got {echo(values)}; entry {first} is {echo(values[first])}")
+    return values
 
 
 def finite_floats(values, what: str) -> tuple:
     """``values`` as a tuple of floats; refuses (ValueError) any that is not finite."""
-    values = tuple(map(as_float, values))
-    finite = list(map(math.isfinite, values))
-    if not all(finite):
-        raise _refuse_nonfinite(values, finite, what)
-    return values
+    return _finite(values, as_float, what)
 
 
 def _as_complex(v) -> complex:
@@ -134,8 +136,4 @@ def _as_complex(v) -> complex:
 def finite_complexes(values, what: str) -> tuple:
     """``values`` as a tuple of complex numbers, an int beyond the double range
     read as inf of its sign; refuses (ValueError) any that is not finite."""
-    values = tuple(map(_as_complex, values))
-    finite = [math.isfinite(z.real) and math.isfinite(z.imag) for z in values]
-    if not all(finite):
-        raise _refuse_nonfinite(values, finite, what)
-    return values
+    return _finite(values, _as_complex, what)

@@ -133,12 +133,7 @@ def observability_matrix(A, C) -> np.ndarray:
 
 
 def controllability_matrix(A, B) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float).reshape(-1)
-    cols = [B]
-    for _ in range(A.shape[0] - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+    return observability_matrix(np.asarray(A, dtype=float).T, B).T
 
 
 def _full_rank(M) -> bool:

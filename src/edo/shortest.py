@@ -52,15 +52,11 @@ def _g_table():
     limbs = []
     for k in range(_K_MIN, _K_MAX + 1):
         num, den = 10 ** max(-k, 0), 10 ** max(k, 0)
+        # num / den / 2^r lies in (2^125, 2^127): one halving (r + 1) at most brings beta below 2^126
         r = num.bit_length() - den.bit_length() - 126
-        while True:
-            beta = num // (den << r) if r >= 0 else (num << -r) // den
-            if beta >= 2**126:
-                r += 1
-            elif beta < 2**125:
-                r -= 1
-            else:
-                break
+        beta = num // (den << r) if r >= 0 else (num << -r) // den
+        if beta >= 2**126:
+            beta >>= 1
         g = beta + 1
         g1, g0 = g >> 63, g & (2**63 - 1)
         limbs.append((g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF))

@@ -32,9 +32,9 @@ O(L dim^3).  A block holds at most ``BLOCK_DOUBLES`` doubles of maps, or of
 states after the split, so its length depends on the state dimension
 alone.  A long product of unstable maps, or a high power of Phi, can
 overflow where the states do not (inf * 0 on a zero state), so a block
-whose first row beyond the guard is not finite is stepped again one step
-at a time before the guard, checked once per block, reports the exact
-first grid point beyond it.  Runs are pure functions of their inputs, seed
+whose first row beyond the guard is not finite is stepped again, one step
+map at a time on either path, before the guard, checked once per block,
+reports the exact first grid point beyond it.  Runs are pure functions of their inputs, seed
 included, so they are bit-reproducible and safely parallel.
 """
 
@@ -95,6 +95,8 @@ class SimConfig:
             raise ValueError("noise_std must be nonnegative and finite")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        if not isinstance(self.output_ramp, bool):
+            raise ValueError("output_ramp must be a boolean")
         try:
             seed = int(self.seed)
         except (TypeError, ValueError, OverflowError):  # None, NaN, inf
@@ -160,24 +162,26 @@ def simulate(
     dim = M0.shape[0]
     try:
         Z = np.ones((N + 1, dim + 1))  # the states in homogeneous coordinates
-        half_times = np.arange(2 * N + 1) * (dt / 2.0)
+        # halved before the product, so that a subnormal dt keeps its last sample
+        half_times = np.arange(2 * N + 1, dtype=float)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sim: a grid of {N} steps cannot be allocated ({exc})") from None
+    half_times *= 0.5
+    half_times *= dt
     times = half_times[::2]
-
-    d_half = np.asarray(evaluate(d, half_times), dtype=float)
-    ramp_half = 1.0 - np.exp(-half_times) if cfg.output_ramp else np.ones(len(half_times))
-    noise = np.zeros(N + 1)
-    if cfg.noise_std > 0.0:
-        # the residue keeps every nonnegative seed's stream and runs the negative ones
-        noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
-
     Z[0, :dim] = np.concatenate([x0, z_obs0])
-    # K: the first step after the last ramp sample that is not 1.0; from it on, one Phi
-    K = min(N, np.flatnonzero(ramp_half != 1.0)[-1] // 2 + 1) if cfg.output_ramp else 0
-    # a diverging block may overflow past its first bad row; the guard
-    # below reports that row, so the overflow itself is not an error
+
+    # an input or a diverging block may overflow; the guard below reports
+    # the first row beyond it, so the overflow itself is not an error
     with np.errstate(over="ignore", invalid="ignore"):
+        d_half = np.asarray(evaluate(d, half_times), dtype=float)
+        ramp_half = 1.0 - np.exp(-half_times) if cfg.output_ramp else np.ones(len(half_times))
+        noise = np.zeros(N + 1)
+        if cfg.noise_std > 0.0:
+            # the residue keeps every nonnegative seed's stream and runs the negative ones
+            noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
+        # K: the first step after the last ramp sample that is not 1.0; from it on, one Phi
+        K = min(N, np.flatnonzero(ramp_half != 1.0)[-1] // 2 + 1) if cfg.output_ramp else 0
         basis = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
         # at ramp 1.0 Phi sums _step_maps' terms with s <= 1, G4[s - 2] the forcing of those with s
         sums = np.tensordot(np.arange(1, 6)[:, None] == np.maximum(basis[0][2], 1), basis[1], 1)
@@ -187,8 +191,9 @@ def simulate(
         blocks += [(k0, min(k0 + const_block, N)) for k0 in range(K, N, const_block)]
         for k0, k1 in blocks:
             j, rows = slice(2 * k0, 2 * k1 + 1), Z[k0 : k1 + 1]
+            # past the split every ramp sample is 1.0: these are the constant blocks' maps too
+            maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
             if k0 < K:
-                maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
                 _scan(_step_maps(*maps), rows)
             else:
                 f = np.stack([noise[k0:k1], d_half[j][0:-2:2], d_half[j][1:-1:2], d_half[j][2::2]], axis=1)
@@ -196,12 +201,8 @@ def simulate(
             bad = _first_bad(rows)
             if bad is not None and not np.isfinite(rows[bad]).all():
                 # overflowed in a long product or a power of Phi: step the block from its start
-                if k0 < K:
-                    for k, A in enumerate(_step_maps(*maps)):
-                        rows[k + 1] = A @ rows[k]
-                else:
-                    for k, g in enumerate(f @ G4):
-                        rows[k + 1, :dim] = Phi @ rows[k, :dim] + g
+                for k, A in enumerate(_step_maps(*maps)):
+                    rows[k + 1] = A @ rows[k]
                 bad = _first_bad(rows)
             if bad is not None:
                 raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
@@ -281,7 +282,7 @@ def _step_maps(basis, ramp, d, noise):
     r0, rm, r1 = ramp[0:-2:2], ramp[1:-1:2], ramp[2::2]
     u = np.stack([one, r0, noise, d[0:-2:2], d[1:-1:2], d[2::2]])
     W = (np.stack([one, r1])[c] * np.stack([one, rm])[b]) * u[s]
-    A = W.T @ H.reshape(len(H), -1)
+    A = W.T @ H.reshape(len(H), size * size)
     # the identity comes last, as in the stage formula: summed in with
     # the basis it would round Phi - I at the scale of I once per term
     A[:, :: size + 1] += 1.0
@@ -367,9 +368,9 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     the table across bandwidths is the numerical signature that high gain
     absorbs a bounded unknown input.
     """
-    if np.ndim(t_grid) != 1 or not np.size(t_grid) or not all(map(math.isfinite, map(linalg.as_float, t_grid))):
-        raise ValueError("t_grid must be a nonempty 1-D sequence of finite times")
-    t_grid = np.asarray(t_grid, dtype=float)
+    if np.ndim(t_grid) != 1 or not np.size(t_grid):
+        raise ValueError("t_grid must be a nonempty 1-D sequence of times")
+    t_grid = np.array(linalg.finite_floats(t_grid, "t_grid"))
     table = []
     for w in map(_bandwidth, omegas):
         # exp(w t) commutes into the exponential of A_w = A + K_w C, avoiding tiny*huge overflow

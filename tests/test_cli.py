@@ -344,6 +344,43 @@ class TestSimulateCommand:
         assert re.fullmatch(r"divergence: state magnitude exceeded 1e\+12 at t=0\.\d+\n", captured.err)
         assert not out.exists()
 
+    #: finite configs whose disturbance or noise samples overflow: (terms, sim entries)
+    OVERFLOWING_INPUTS = [
+        pytest.param([{"type": "exp_then_hold", "switch_time": 1000.0}], dict(t_end=800.0, dt=0.5),
+                     id="exp_then_hold"),
+        pytest.param([{"type": "polynomial", "coefficients": [0.0, 1e308, 1e308]}], {}, id="polynomial"),
+        pytest.param([{"type": "constant", "value": 1e308}] * 2, {}, id="two_constants"),
+        pytest.param([{"type": "harmonic", "amplitude": 1e308, "frequency": 1e308}], {}, id="harmonic"),
+        pytest.param(None, dict(noise_std=1e308), id="noise"),
+    ]
+
+    @pytest.mark.parametrize("terms, sim", OVERFLOWING_INPUTS)
+    def test_overflowing_input_exits_4_without_warnings(self, tmp_path, capsys, terms, sim):
+        cfg = base_config()
+        cfg["sim"].update({"t_end": 2.0, "dt": 1e-2, **sim})
+        if terms is not None:
+            cfg["disturbance"]["terms"] = terms
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"divergence: state magnitude exceeded 1e\+12 at t=[0-9.]+\n", captured.err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ramp", [True, False], ids=["ramp", "no_ramp"])
+    def test_subnormal_step_runs(self, tmp_path, ramp):
+        # every basis term underflows, and so would dt / 2
+        cfg = base_config()
+        cfg["sim"].update(t_end=5e-324, dt=5e-324, output_ramp=ramp)
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "5e-324"]
+
     def test_invalid_seed_env_exits_2(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, base_config())
         monkeypatch.setenv("EDO_SEED", "not-a-number")
@@ -407,7 +444,7 @@ CONFIG_REFUSALS = [
     pytest.param(("disturbance", "terms"), [], "disturbance.terms: expected a non-empty array", id="empty_terms"),
     pytest.param(("sim", "seed"), 7.0, "sim.seed must be an integer", id="seed_float"),
     pytest.param(("sim", "seed"), True, "sim.seed must be an integer", id="seed_bool"),
-    pytest.param(("sim", "output_ramp"), 1, "sim.output_ramp must be a boolean", id="ramp_not_bool"),
+    pytest.param(("sim", "output_ramp"), 1, "sim: output_ramp must be a boolean", id="ramp_not_bool"),
     pytest.param(("sim", "dt"), 1.0, "sim: need 0 < dt <= t_end", id="dt_beyond_t_end"),
     pytest.param(("sim", "integrator"), "midpoint", "sim: integrator must be one of", id="unknown_integrator"),
     pytest.param(("sim", "noise_std"), -0.1, "sim: noise_std must be nonnegative", id="negative_noise"),

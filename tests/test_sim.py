@@ -604,6 +604,27 @@ class TestOverflowingChunkMaps:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(np.linalg.matrix_power(A[0], 256)))
 
+    def test_guard_past_an_overflowing_power_of_phi(self, monkeypatch):
+        # at dt = 0.087 the open loop grows by 1.19 a step and Phi^4096
+        # overflows; from a subnormal x0 the state crosses the guard only
+        # past row 4096, so the constant block is stepped again
+        p, exo, sg, rs, obs, _ = make_design([2.0, 1.0], [], (-1.0,), 10.0)
+        cfg = SimConfig(t_end=round(4400 * 0.087, 12), dt=0.087)
+        assert cfg.steps == 4400 and _block_steps(5, constant=True) >= cfg.steps
+        x0 = [1e-310, 0.0]
+        ref = reference_run(p, obs, None, rs, Constant(0.0), cfg, x0, np.zeros(3))
+        magnitude = np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
+        row = int(np.argmax(magnitude > 1e12))
+        assert row > 4096 and magnitude[row - 1] < 0.99e12 and magnitude[row] > 1.01e12
+        blocks = []
+        monkeypatch.setattr("edo.sim._step_maps", lambda *maps: blocks.append(len(maps[3])) or _step_maps(*maps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite) as info:
+                simulate(p, obs, None, rs, Constant(0.0), cfg, x0, np.zeros(3))
+        assert blocks == [4400]  # the constant path forms maps only to step again
+        assert str(info.value).endswith(f"at t={row * cfg.dt:.6g}")
+
 
 class TestWorkingSet:
     """Traced allocations stay per block: the horizon adds only its records.
@@ -700,6 +721,7 @@ REFUSALS = {
     "seed_nan": (lambda: SimConfig(1.0, 0.1, seed=float("nan")), ValueError, "seed must be an integer"),
     "seed_inf": (lambda: SimConfig(1.0, 0.1, seed=float("inf")), ValueError, "seed must be an integer"),
     "seed_string": (lambda: SimConfig(1.0, 0.1, seed="7"), ValueError, "seed must be an integer"),
+    "ramp_not_bool": (lambda: SimConfig(1.0, 0.1, output_ramp="no"), ValueError, "output_ramp must be a boolean"),
     "x0_size": (lambda: short_run(x0=[0.0]), DimensionMismatch, "initial states do not match"),
     "observer0_size": (lambda: short_run(obs0=np.zeros(4)), DimensionMismatch, "initial states"),
     "tail_fraction_zero": (lambda: metrics(short_run(), 0.0), ValueError, "tail_fraction must lie in"),
@@ -707,9 +729,9 @@ REFUSALS = {
     "probe_grid_empty": (lambda: probe([]), ValueError, "t_grid must be a nonempty 1-D"),
     "probe_grid_2d": (lambda: probe([[0.0, 0.5], [1.0, 1.5]]), ValueError, "t_grid must be a nonempty 1-D"),
     "probe_grid_scalar": (lambda: probe(1.0), ValueError, "t_grid must be a nonempty 1-D"),
-    "probe_grid_nan": (lambda: probe([0.0, float("nan")]), ValueError, "sequence of finite times"),
-    "probe_grid_inf": (lambda: probe(np.array([np.inf])), ValueError, "sequence of finite times"),
-    "probe_grid_huge_int": (lambda: probe([0, 10**400]), ValueError, "sequence of finite times"),
+    "probe_grid_nan": (lambda: probe([0.0, float("nan")]), ValueError, "t_grid must be finite"),
+    "probe_grid_inf": (lambda: probe(np.array([np.inf])), ValueError, "t_grid must be finite"),
+    "probe_grid_huge_int": (lambda: probe([0, 10**400]), ValueError, "t_grid must be finite"),
 }
 
 

@@ -14,7 +14,8 @@ that trip the divergence guard are printed with their message.
 ``python tools/digest.py ROOT OUT`` is the child, which writes the digests
 and trajectories of checkout ``ROOT`` to the ``.npz`` file ``OUT``.
 ``EDO_SEED`` is ignored, so that the digests are those of the configured
-seeds.  The groups are:
+seeds, and a numpy ``RuntimeWarning`` is an error, as in the tests, so that
+no comparison passes over a leaked overflow.  The groups are:
 
 * ``scenarios``: the 12 files of ``edo scenario fig1..fig4`` and stdout;
 * ``design``: the ``edo design`` reports of the four presets and stdout;
@@ -37,6 +38,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -179,6 +181,7 @@ def compare(parent):
 
 if __name__ == "__main__":
     os.environ.pop("EDO_SEED", None)  # would override the configured noise seeds; the children inherit this
+    warnings.simplefilter("error", RuntimeWarning)
     if len(sys.argv) == 1:
         for name, digest in digests({}):
             print(f"{name:10s} {digest}", flush=True)
