@@ -46,13 +46,19 @@ FREQ_ATOL = 1e-9
 
 
 class Signal:
-    """Base class of the tagged signal union."""
+    """Base class of the tagged signal union; each kind owns its slope bound and exosystem match."""
 
     def value(self, t):
         raise NotImplementedError
 
     def slope(self, t):
         raise NotImplementedError
+
+    def sup_slope(self) -> float:
+        raise UnsupportedVariant(f"cannot bound derivative of {type(self).__name__}")
+
+    def generated_by(self, exo: Exosystem) -> bool:
+        raise UnsupportedVariant(f"cannot route {type(self).__name__}")
 
 
 class _NumberFields(Signal):
@@ -75,6 +81,12 @@ class Constant(_NumberFields):
     def slope(self, t):
         return t * 0.0
 
+    def sup_slope(self) -> float:
+        return 0.0
+
+    def generated_by(self, exo: Exosystem) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Harmonic(_NumberFields):
@@ -89,6 +101,13 @@ class Harmonic(_NumberFields):
 
     def slope(self, t):
         return self.amplitude * self.frequency * np.cos(self.frequency * t + self.phase)
+
+    def sup_slope(self) -> float:
+        return abs(self.amplitude * self.frequency)
+
+    def generated_by(self, exo: Exosystem) -> bool:
+        return any(abs(lam.real) <= FREQ_ATOL and abs(abs(lam.imag) - abs(self.frequency)) <= FREQ_ATOL
+                   for lam in exo.spectrum)
 
 
 @dataclass(frozen=True)
@@ -119,6 +138,14 @@ class Polynomial(Signal):
             acc = acc * t + k * self.coefficients[k]
         return acc
 
+    def sup_slope(self) -> float:
+        if self.degree >= 2:
+            raise UnboundedDerivative("polynomial of degree >= 2 has unbounded derivative")
+        return abs(self.coefficients[1]) if self.degree == 1 else 0.0
+
+    def generated_by(self, exo: Exosystem) -> bool:
+        return exo.zero_multiplicity >= self.degree + 1
+
 
 @dataclass(frozen=True)
 class ExpThenHold(_NumberFields):
@@ -131,6 +158,12 @@ class ExpThenHold(_NumberFields):
 
     def slope(self, t):
         return np.where(np.asarray(t) < self.switch_time, np.exp(np.minimum(t, self.switch_time)), 0.0)
+
+    def sup_slope(self) -> float:
+        return float(np.exp(max(self.switch_time, 0.0)))  # left limit at the switch
+
+    def generated_by(self, exo: Exosystem) -> bool:
+        return False  # piecewise signals are residual-only
 
 
 @dataclass(frozen=True)
@@ -175,37 +208,16 @@ def _terms(s: Signal):
     return s.terms if isinstance(s, Sum) else (s,)
 
 
-def _sup_abs_slope(s: Signal) -> float:
-    """Sum over the terms of each term's supremum of |ds/dt| on t >= 0.
-
-    Exact for a single varying term, and whenever the terms' slope peaks
-    can line up; an upper bound in general.
-    """
-    total = 0.0
-    for term in _terms(s):
-        if isinstance(term, Constant):
-            continue
-        if isinstance(term, Polynomial):
-            if term.degree >= 2:
-                raise UnboundedDerivative("polynomial of degree >= 2 has unbounded derivative")
-            if term.degree == 1:
-                total += abs(term.coefficients[1])
-        elif isinstance(term, Harmonic):
-            total += abs(term.amplitude * term.frequency)
-        elif isinstance(term, ExpThenHold):
-            total += float(np.exp(max(term.switch_time, 0.0)))  # left limit at the switch
-        else:
-            raise UnsupportedVariant(f"cannot bound derivative of {type(term).__name__}")
-    return total
-
-
 def s_norm(s: Signal) -> float:
     """Signal-class norm: |s(0)| plus the supremum of |ds/dt|.
 
     The supremum is taken term by term, so for a sum of several varying
     terms the result is an upper bound on the norm.
     """
-    return float(abs(s.value(0.0))) + _sup_abs_slope(s)
+    total = 0.0
+    for term in _terms(s):  # in term order, without sum()'s compensated addition
+        total += term.sup_slope()
+    return float(abs(s.value(0.0))) + total
 
 
 @dataclass(frozen=True)
@@ -228,6 +240,8 @@ class Exosystem:
     def __post_init__(self):
         object.__setattr__(self, "g", linalg.finite_floats(self.g, "exosystem g"))
         object.__setattr__(self, "spectrum", linalg.finite_complexes(self.spectrum, "exosystem spectrum"))
+        if len(self.spectrum) != self.dim:
+            raise ValueError(f"exosystem spectrum must have {self.dim} entries, got {len(self.spectrum)}")
 
     @property
     def m(self) -> int:
@@ -306,21 +320,6 @@ class Decomposition:
     residual_s_norm: float
 
 
-def _matches(term: Signal, exo: Exosystem) -> bool:
-    if isinstance(term, Constant):
-        return True
-    if isinstance(term, Polynomial):
-        return exo.zero_multiplicity >= term.degree + 1
-    if isinstance(term, Harmonic):
-        for lam in exo.spectrum:
-            if abs(lam.real) <= FREQ_ATOL and abs(abs(lam.imag) - abs(term.frequency)) <= FREQ_ATOL:
-                return True
-        return False
-    if isinstance(term, ExpThenHold):
-        return False  # piecewise signals are residual-only
-    raise UnsupportedVariant(f"cannot route {type(term).__name__}")
-
-
 def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     """Term-match a structured signal against the exosystem spectrum.
 
@@ -332,7 +331,7 @@ def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     """
     modeled, residual = [], []
     for term in _terms(d):
-        (modeled if _matches(term, exo) else residual).append(term)
+        (modeled if term.generated_by(exo) else residual).append(term)
     shift = float(Sum(tuple(residual)).value(0.0)) if residual else 0.0
     if shift != 0.0:
         residual.append(Constant(-shift))

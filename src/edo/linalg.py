@@ -24,6 +24,7 @@ __all__ = [
     "as_float",
     "finite_floats",
     "finite_complexes",
+    "finite_array",
     "cut",
     "echo",
 ]
@@ -137,3 +138,10 @@ def finite_complexes(values, what: str) -> tuple:
     """``values`` as a tuple of complex numbers, an int beyond the double range
     read as inf of its sign; refuses (ValueError) any that is not finite."""
     return _finite(values, _as_complex, what)
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array of their own shape, each entry converted and
+    refused (ValueError) as by ``finite_floats``."""
+    values = np.asarray(values, dtype=object)
+    return np.array(finite_floats(values.ravel(), what)).reshape(values.shape)

@@ -91,9 +91,9 @@ class GeneralPlant:
     C: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float).reshape(-1)
-        C = np.asarray(self.C, dtype=float).reshape(-1)
+        A = np.atleast_2d(linalg.finite_array(self.A, "plant A"))
+        B = linalg.finite_array(self.B, "plant B").reshape(-1)
+        C = linalg.finite_array(self.C, "plant C").reshape(-1)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if B.size != A.shape[0] or C.size != A.shape[0]:
@@ -148,9 +148,10 @@ def transmission_zero_holds(p: GeneralPlant, lam: complex) -> bool:
     unlike the transfer-function form, stays valid when ``lam`` is an
     eigenvalue of A.
     """
+    (lam,) = linalg.finite_complexes((lam,), "lam")
     n = p.n
     M = np.zeros((n + 1, n + 1), dtype=complex)
-    M[:n, :n] = p.A - complex(lam) * np.eye(n)
+    M[:n, :n] = p.A - lam * np.eye(n)
     M[:n, n] = p.B
     M[n, :n] = p.C
     return _full_rank(M)
@@ -163,7 +164,7 @@ def is_observable_for_omega(p: GeneralPlant, spectrum_of_G) -> bool:
     condition at every exosystem eigenvalue.  The hypothesis that the
     plant and exosystem spectra are disjoint is checked first.
     """
-    spectrum = [complex(lam) for lam in spectrum_of_G]
+    spectrum = linalg.finite_complexes(spectrum_of_G, "spectrum_of_G")
     eigs_A = linalg.eigenvalues(p.A)
     for lam in spectrum:
         if np.abs(eigs_A - lam).min() < 1e-9:

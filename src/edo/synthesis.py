@@ -340,10 +340,10 @@ def assemble_known_dynamics_observer(
     block.  The error matrix is similar to a block-triangular form with
     diagonal blocks ``A + F0 C`` and ``G + F2 P_row``.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    P_row = np.asarray(P_row, dtype=float).reshape(-1)
-    F0 = np.asarray(F0, dtype=float).reshape(-1)
-    F2 = np.asarray(F2, dtype=float).reshape(-1)
+    G = np.atleast_2d(linalg.finite_array(G, "G"))
+    P_row = linalg.finite_array(P_row, "P_row").reshape(-1)
+    F0 = linalg.finite_array(F0, "F0").reshape(-1)
+    F2 = linalg.finite_array(F2, "F2").reshape(-1)
     n, m = p_general.n, G.shape[0]
     if G.shape != (m, m) or P_row.shape != (m,) or F0.shape != (n,) or F2.shape != (m,):
         raise DimensionMismatch("inconsistent observer design dimensions")

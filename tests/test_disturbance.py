@@ -232,6 +232,9 @@ REFUSALS = {
     "exp_then_hold_inf": (lambda: ExpThenHold(INF), r"ExpThenHold switch_time must be finite, got \(inf,\)"),
     "exosystem_g_nan": (lambda: Exosystem(g=(NAN,), spectrum=(0.0, 0.0)), r"exosystem g must be finite, got \(nan,\)"),
     "exosystem_spectrum_nan": (lambda: Exosystem(g=(0.0,), spectrum=(0.0, NAN)), "exosystem spectrum must be finite"),
+    # G of g = (-1, 0) has eigenvalues 0 and +-1j: a spectrum of 0 alone would route a unit harmonic to the residual
+    "exosystem_spectrum_short": (lambda: Exosystem(g=(-1.0, 0.0), spectrum=(0j,)),
+                                 "exosystem spectrum must have 3 entries, got 1"),
     "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]),
                           r"exosystem spectrum must be finite, got \(\(inf\+0j\),\)"),
     "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), r"exosystem spectrum must be finite, got \(\(nan\+0j\),\)"),

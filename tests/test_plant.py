@@ -40,6 +40,19 @@ REFUSALS = {
     "B_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0], C=[0.0, 1.0]), ValueError, "B and C must match"),
     "C_size": (lambda: GeneralPlant(A=np.eye(2), B=[1.0, 0.0], C=[0.0, 1.0, 0.0]), ValueError,
                "B and C must match"),
+    # the known-dynamics path takes the same finiteness rule, before any numpy call can warn
+    "general_A_nan": (lambda: GeneralPlant(A=[[float("nan")]], B=[1.0], C=[1.0]), ValueError,
+                      r"plant A must be finite, got \(nan,\)"),
+    "general_A_huge_int": (lambda: GeneralPlant(A=[[10**400]], B=[1.0], C=[1.0]), ValueError,
+                           r"plant A must be finite, got \(inf,\)"),
+    "transmission_zero_nan": (lambda: transmission_zero_holds(double_integrator_example(), float("nan")), ValueError,
+                              r"lam must be finite, got \(\(nan\+0j\),\)"),
+    "transmission_zero_inf": (lambda: transmission_zero_holds(double_integrator_example(), float("inf")), ValueError,
+                              r"lam must be finite, got \(\(inf\+0j\),\)"),
+    "observable_for_omega_nan": (lambda: is_observable_for_omega(double_integrator_example(), [1j, float("nan")]),
+                                 ValueError, r"spectrum_of_G must be finite, got \(1j, \(nan\+0j\)\); entry 1"),
+    "observable_for_omega_inf": (lambda: is_observable_for_omega(double_integrator_example(), [float("-inf")]),
+                                 ValueError, r"spectrum_of_G must be finite, got \(\(-inf\+0j\),\)"),
 }
 
 

@@ -284,6 +284,10 @@ REFUSALS = {
                             "inconsistent observer design dimensions"),
     "known_dynamics_non_hurwitz": (lambda: known_dynamics_observer(F0=(0.0, 0.0)), NonHurwitz,
                                    r"A \+ F0 C is not Hurwitz"),
+    "known_dynamics_huge_int_gain": (lambda: known_dynamics_observer(F0=(10**400, -4.0)), ValueError,
+                                     r"F0 must be finite, got \(inf, -4.0\)"),
+    "known_dynamics_nan_gain": (lambda: known_dynamics_observer(F0=(-4.0, float("nan"))), ValueError,
+                                r"F0 must be finite, got \(-4.0, nan\)"),
     # a + K_omega = 0 leaves A_inj nilpotent: 0, the carrier's eigenvalue, is an observer pole
     "spectral_observer_pole": (lambda: spectral_solve(K_omega=(-2.0, -1.0)), SingularSystem, "is an observer pole"),
     # b = (0, 1) puts a transmission zero at 0

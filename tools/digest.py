@@ -3,7 +3,7 @@ byte for byte, or how far its trajectories moved.
 
 ``python tools/digest.py`` prints the digests of this checkout's ``src``;
 the seeded inputs come from its ``bench/workloads.py``, which is imported
-and not modified.  ``python tools/digest.py PARENT_CHECKOUT`` digests this
+and not modified, except those of ``signals``, which the tool draws itself.  ``python tools/digest.py PARENT_CHECKOUT`` digests this
 checkout and ``PARENT_CHECKOUT``, each in its own child process, prints
 ``same`` or ``DIFFERS`` per group and exits 1 on any difference.  For the
 trajectory groups (``scenarios``, ``sim_grid`` and ``simulate``) it also
@@ -25,7 +25,10 @@ no comparison passes over a leaked overflow.  The groups are:
   divergence message);
 * ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``;
 * ``simulate``: the stdout and CSV of ``edo simulate`` on fig4 cut to the
-  bench's 0.5 s (``workloads.preset_config``).
+  bench's 0.5 s (``workloads.preset_config``);
+* ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
+  every term kind against seeded exosystems (the ``repr`` of each result,
+  or the error's class and message).
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ ROOT = os.path.abspath(sys.argv[1]) if __name__ == "__main__" and len(sys.argv) 
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402
-from edo import cli  # noqa: E402
-from edo.errors import NonFinite  # noqa: E402
+from edo import cli, disturbance  # noqa: E402
+from edo.errors import EdoError, NonFinite  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 SWEEP_SEEDS = (9001, 9002, 9003)  # 100 designs each
+SIGNALS_SEED = 9101
 
 
 def run_cli(h, argv):
@@ -136,7 +140,37 @@ def simulate(work, runs):
     return h
 
 
-GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate)
+def random_term(rng, carried):
+    """One term of a random kind; a harmonic takes a frequency of ``carried`` half the time."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return disturbance.Constant(rng.uniform(-5.0, 5.0))
+    if kind == 1:
+        frequency = rng.choice(carried) if carried and rng.integers(2) else rng.uniform(0.5, 20.0)
+        sign = rng.choice((-1.0, 1.0))
+        return disturbance.Harmonic(rng.uniform(-3.0, 3.0), sign * frequency, rng.uniform(-3.2, 3.2))
+    if kind == 2:
+        return disturbance.Polynomial(tuple(rng.uniform(-2.0, 2.0, rng.integers(1, 4))))  # degree 0-2
+    return disturbance.ExpThenHold(rng.uniform(-1.0, 3.0))
+
+
+def signals(work, runs):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(SIGNALS_SEED)
+    for _ in range(400):
+        carried = list(rng.uniform(0.5, 20.0, rng.integers(3)))  # 0-2 conjugate pairs, then 0-2 extra zeros
+        spectrum = [s * 1j * f for f in carried for s in (1, -1)] + [0.0] * rng.integers(3)
+        exo = disturbance.exosystem_from_spectrum(spectrum)
+        d = disturbance.Sum(tuple(random_term(rng, carried) for _ in range(rng.integers(1, 5))))
+        for fact in (disturbance.s_norm, lambda d: disturbance.decompose(d, exo)):
+            try:
+                h.update(repr(fact(d)).encode())
+            except EdoError as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h
+
+
+GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate, signals)
 
 
 def digests(runs):
