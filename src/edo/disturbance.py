@@ -2,16 +2,16 @@
 
 Signals live in the class of bounded functions with bounded (weak)
 derivative.  An exosystem is the autonomous companion system whose output
-space spans exactly the disturbance dynamics assumed known; its state
-dimension is one more than the number of requested nonzero eigenvalues
-because a zero eigenvalue is always built in.  ``decompose`` splits a
-structured signal into the part the exosystem can generate and the
-residual the observer must absorb by high gain.
+space spans exactly the disturbance dynamics assumed known; it is built
+from its spectrum alone (a zero eigenvalue always built in), so its G and
+the frequencies ``decompose`` routes by cannot disagree.  ``decompose``
+splits a structured signal into the part the exosystem can generate and
+the residual the observer must absorb by high gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -212,36 +212,65 @@ def s_norm(s: Signal) -> float:
     """Signal-class norm: |s(0)| plus the supremum of |ds/dt|.
 
     The supremum is taken term by term, so for a sum of several varying
-    terms the result is an upper bound on the norm.
+    terms the result is an upper bound on the norm, refused (Overflow)
+    beyond the double range.
     """
     total = 0.0
-    for term in _terms(s):  # in term order, without sum()'s compensated addition
-        total += term.sup_slope()
-    return float(abs(s.value(0.0))) + total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in _terms(s):  # in term order, without sum()'s compensated addition
+            total += term.sup_slope()
+        total = float(abs(s.value(0.0))) + total
+    if not np.isfinite(total):
+        raise Overflow("signal-class norm overflows the double range")
+    return total
 
 
 @dataclass(frozen=True)
 class Exosystem:
     """Companion disturbance dynamics with a built-in zero eigenvalue.
 
-    ``g`` holds the m free last-row entries; the full last row is
-    ``[0, g_1, ..., g_m]`` so the first column vanishes, the first
-    coordinate vector is an eigenvector for 0, and the characteristic
-    polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``.  ``spectrum``
-    records the requested eigenvalues (the built-in zero first) exactly
-    as given, which keeps later frequency matching free of eigensolver
-    noise.  The matrices are built once per instance and are read-only;
-    the fields are frozen.
+    ``spectrum``, the one input, is the built-in zero followed by the
+    requested eigenvalues exactly as given (frequency matching stays free
+    of eigensolver noise): closed under conjugation, none in the open left
+    half-plane, repeats allowed.  ``g``, derived from it, holds the m free
+    entries of the last row ``[0, g_1, ..., g_m]``: the first column
+    vanishes, the first coordinate vector is an eigenvector for 0, and the
+    characteristic polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``.  The
+    matrices are built once per instance and are read-only; the fields are
+    frozen.
     """
 
-    g: tuple
     spectrum: tuple
+    g: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "g", linalg.finite_floats(self.g, "exosystem g"))
-        object.__setattr__(self, "spectrum", linalg.finite_complexes(self.spectrum, "exosystem spectrum"))
-        if len(self.spectrum) != self.dim:
-            raise ValueError(f"exosystem spectrum must have {self.dim} entries, got {len(self.spectrum)}")
+        spectrum = linalg.finite_complexes(self.spectrum, "exosystem spectrum")
+        if not spectrum or spectrum[0] != 0:
+            raise ValueError(f"exosystem spectrum must start with its built-in zero, got {linalg.echo(spectrum)}")
+        object.__setattr__(self, "spectrum", spectrum)
+        requested = list(spectrum[1:])
+        for lam in requested:
+            if lam.real < -1e-9:
+                raise RightHalfPlaneViolation(f"eigenvalue {lam} has negative real part")
+        unmatched = [lam for lam in requested if lam.imag != 0.0]
+        while unmatched:
+            lam = unmatched.pop()
+            try:
+                unmatched.remove(lam.conjugate())
+            except ValueError:
+                raise NotConjugateClosed(f"no conjugate partner for {lam}") from None
+        coeffs = np.array([1.0 + 0.0j])
+        for lam in requested:
+            coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
+        coeffs = np.convolve(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
+        if not np.isfinite(coeffs).all():
+            raise Overflow(f"spectrum {requested} overflows the exosystem polynomial")
+        scale = max(1.0, np.abs(coeffs).max())
+        if np.abs(coeffs.imag).max() > 1e-9 * scale:
+            raise NotConjugateClosed("expansion left a complex residue")
+        # coeffs.real = [1, c_m, ..., c_1, 0]; last row entries are g_j = -c_j
+        g = tuple(-v + 0.0 for v in coeffs.real[1:-1][::-1])  # +0.0 kills negative zeros
+        object.__setattr__(self, "g", g)
 
     @property
     def m(self) -> int:
@@ -278,37 +307,8 @@ class Exosystem:
 
 
 def exosystem_from_spectrum(nonzero_eigs) -> Exosystem:
-    """Build the companion exosystem whose spectrum is {0} plus the request.
-
-    The requested eigenvalues must be closed under conjugation and must
-    not lie in the open left half-plane; an additional zero eigenvalue is
-    always prepended.  Repeated eigenvalues are accepted and expand the
-    characteristic polynomial accordingly.
-    """
-    requested = list(linalg.finite_complexes(nonzero_eigs, "exosystem spectrum"))
-    for lam in requested:
-        if lam.real < -1e-9:
-            raise RightHalfPlaneViolation(f"eigenvalue {lam} has negative real part")
-    unmatched = [lam for lam in requested if lam.imag != 0.0]
-    while unmatched:
-        lam = unmatched.pop()
-        try:
-            unmatched.remove(lam.conjugate())
-        except ValueError:
-            raise NotConjugateClosed(f"no conjugate partner for {lam}") from None
-    coeffs = np.array([1.0 + 0.0j])
-    for lam in requested:
-        coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
-    coeffs = np.convolve(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
-    if not np.isfinite(coeffs).all():
-        raise Overflow(f"spectrum {requested} overflows the exosystem polynomial")
-    scale = max(1.0, np.abs(coeffs).max())
-    if np.abs(coeffs.imag).max() > 1e-9 * scale:
-        raise NotConjugateClosed("expansion left a complex residue")
-    real = coeffs.real
-    # real = [1, c_m, ..., c_1, 0]; last row entries are g_j = -c_j
-    g = tuple(-v + 0.0 for v in real[1:-1][::-1])  # +0.0 kills negative zeros
-    return Exosystem(g=g, spectrum=(0.0 + 0.0j,) + tuple(requested))
+    """The exosystem whose spectrum is the built-in zero followed by ``nonzero_eigs``."""
+    return Exosystem((0j,) + linalg.finite_complexes(nonzero_eigs, "exosystem spectrum"))
 
 
 @dataclass(frozen=True)
@@ -327,19 +327,18 @@ def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     modeled part, everything else to the residual.  The residual is then
     shifted by a constant so it vanishes at t = 0 (legitimate because the
     exosystem always contains the zero eigenvalue), which makes its norm
-    exactly the supremum of its derivative.
+    exactly the supremum of its derivative.  A shift or norm beyond the
+    double range is refused (Overflow).
     """
     modeled, residual = [], []
     for term in _terms(d):
         (modeled if term.generated_by(exo) else residual).append(term)
-    shift = float(Sum(tuple(residual)).value(0.0)) if residual else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(Sum(tuple(residual)).value(0.0)) if residual else 0.0
+    if not np.isfinite(shift):
+        raise Overflow("residual value at t = 0 overflows the double range")
     if shift != 0.0:
         residual.append(Constant(-shift))
         modeled.append(Constant(shift))
-    modeled_sig = Sum(tuple(modeled))
     residual_sig = Sum(tuple(residual))
-    return Decomposition(
-        modeled=modeled_sig,
-        residual=residual_sig,
-        residual_s_norm=s_norm(residual_sig),
-    )
+    return Decomposition(modeled=Sum(tuple(modeled)), residual=residual_sig, residual_s_norm=s_norm(residual_sig))

@@ -364,11 +364,10 @@ def assemble_known_dynamics_observer(
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGain:
-    """Scheduled state-feedback row and the transform that produced it."""
+    """Scheduled state-feedback row."""
 
     omega_c: float
     F: np.ndarray
-    U: np.ndarray
 
 
 def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
@@ -387,7 +386,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
         F = K_c @ U
     if not np.isfinite(F).all():
         raise Overflow(f"stabilizer gain at bandwidth {float(omega_c):g} overflows the double range")
-    return StabilizerGain(omega_c=float(omega_c), F=F, U=U)
+    return StabilizerGain(omega_c=float(omega_c), F=F)
 
 
 def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: RegulatorSolution):

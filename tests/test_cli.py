@@ -147,6 +147,24 @@ class TestDesignCommand:
         assert "synthesis error (Overflow)" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_overflowing_krylov_rows_exit_3(self, tmp_path, capsys, monkeypatch, command):
+        # fig1 at third order with finite plant coefficients whose Krylov
+        # rows, built for the canonical transform, leave the double range
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
+        cfg["plant"]["a"] = [1e200, 1e200, 1e200]
+        cfg["gains"]["k"] = [-1.0, -3.0, -3.0]
+        cfg["initial"]["x0"] = [0.0, 0.0, 0.0]
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert err.splitlines() == ["synthesis error (Overflow): Krylov rows of an order-3 matrix overflow the double range"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "carrier, message",
         [

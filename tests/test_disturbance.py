@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from edo import (
 )
 from edo.disturbance import Signal, derivative
 from edo.errors import NotConjugateClosed, Overflow, RightHalfPlaneViolation, UnboundedDerivative, UnsupportedVariant
+from edo import cli
 from edo.linalg import companion_from_last_row, eigenvalues
 
 
@@ -188,6 +191,29 @@ class TestExosystem:
         with pytest.raises(Overflow, match=r"spectrum \[1e\+160j, -1e\+160j\]"):
             exosystem_from_spectrum([1e160j, complex(0.0, -1e160)])
 
+    def test_spectrum_alone_fixes_G_and_routing(self):
+        # the matrix the observer is built from and the frequencies decompose routes by come from one input
+        from conftest import multiset_gap
+
+        exo = Exosystem((0j, 5j, -5j))
+        assert multiset_gap(eigenvalues(exo.G), [0.0, 5j, -5j]) < 1e-12
+        dec = decompose(Sum((Harmonic(1.0, 5.0), Harmonic(2.0, 1.0))), exo)
+        assert dec.modeled.terms == (Harmonic(1.0, 5.0),)
+        assert dec.residual.terms == (Harmonic(2.0, 1.0),) and dec.residual_s_norm == 2.0
+
+    def test_rebuilt_from_its_spectrum(self, rng):
+        spectra = [cli.parse_config(cfg).spectrum for cfg in cli.SCENARIOS.values()]
+        for _ in range(50):
+            freqs = rng.uniform(0.1, 50.0, int(rng.integers(0, 3)))
+            spectrum = [s * 1j * f for f in freqs for s in (1, -1)]
+            spectrum += list(rng.uniform(0.0, 5.0, int(rng.integers(0, 2)))) + [0.0] * int(rng.integers(0, 3))
+            spectra.append([spectrum[i] for i in rng.permutation(len(spectrum))])
+        for requested in spectra:
+            exo = exosystem_from_spectrum(requested)
+            again = Exosystem(exo.spectrum)
+            assert again == exo and np.array_equal(again.G, exo.G)
+            assert np.array_equal(np.signbit(again.g), np.signbit(exo.g))
+
 
 def polymul_g(spectrum):
     """Last-row entries expanded with ``np.polymul``, as a reference."""
@@ -218,38 +244,60 @@ class TestPolynomial:
 
 
 NAN, INF = float("nan"), float("inf")
+NORM_OVERFLOWS = "signal-class norm overflows the double range"
 
 REFUSALS = {
     # one finiteness rule, an int beyond the double range read as inf of its sign
-    "constant_nan": (lambda: Constant(NAN), r"Constant level must be finite, got \(nan,\)"),
-    "constant_huge_int": (lambda: Constant(10**400), r"Constant level must be finite, got \(inf,\)"),
-    "harmonic_nan_frequency": (lambda: Harmonic(1.0, NAN),
+    "constant_nan": (lambda: Constant(NAN), ValueError, r"Constant level must be finite, got \(nan,\)"),
+    "constant_huge_int": (lambda: Constant(10**400), ValueError, r"Constant level must be finite, got \(inf,\)"),
+    "harmonic_nan_frequency": (lambda: Harmonic(1.0, NAN), ValueError,
                                r"Harmonic amplitude/frequency/phase must be finite, got \(1.0, nan, 0.0\)"),
-    "harmonic_inf_phase": (lambda: Harmonic(1.0, 2.0, -INF), r"Harmonic .* got \(1.0, 2.0, -inf\)"),
-    "harmonic_huge_int": (lambda: Harmonic(10**400, 2.0), r"Harmonic .* got \(inf, 2.0, 0.0\)"),
-    "polynomial_nan": (lambda: Polynomial((0.0, NAN)), r"polynomial coefficients must be finite, got \(0.0, nan\)"),
-    "polynomial_huge_negative_int": (lambda: Polynomial((-(10**400),)), r"polynomial coefficients .* got \(-inf,\)"),
-    "exp_then_hold_inf": (lambda: ExpThenHold(INF), r"ExpThenHold switch_time must be finite, got \(inf,\)"),
-    "exosystem_g_nan": (lambda: Exosystem(g=(NAN,), spectrum=(0.0, 0.0)), r"exosystem g must be finite, got \(nan,\)"),
-    "exosystem_spectrum_nan": (lambda: Exosystem(g=(0.0,), spectrum=(0.0, NAN)), "exosystem spectrum must be finite"),
-    # G of g = (-1, 0) has eigenvalues 0 and +-1j: a spectrum of 0 alone would route a unit harmonic to the residual
-    "exosystem_spectrum_short": (lambda: Exosystem(g=(-1.0, 0.0), spectrum=(0j,)),
-                                 "exosystem spectrum must have 3 entries, got 1"),
-    "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]),
+    "harmonic_inf_phase": (lambda: Harmonic(1.0, 2.0, -INF), ValueError, r"Harmonic .* got \(1.0, 2.0, -inf\)"),
+    "harmonic_huge_int": (lambda: Harmonic(10**400, 2.0), ValueError, r"Harmonic .* got \(inf, 2.0, 0.0\)"),
+    "polynomial_nan": (lambda: Polynomial((0.0, NAN)), ValueError,
+                       r"polynomial coefficients must be finite, got \(0.0, nan\)"),
+    "polynomial_huge_negative_int": (lambda: Polynomial((-(10**400),)), ValueError,
+                                     r"polynomial coefficients .* got \(-inf,\)"),
+    "exp_then_hold_inf": (lambda: ExpThenHold(INF), ValueError, r"ExpThenHold switch_time must be finite, got \(inf,\)"),
+    "exosystem_spectrum_nan": (lambda: Exosystem((0.0, NAN)), ValueError,
+                               r"exosystem spectrum must be finite, got \(0j, \(nan\+0j\)\); entry 1"),
+    # the spectrum is the exosystem's one input, and it starts with the built-in zero
+    "exosystem_spectrum_without_zero": (lambda: Exosystem((5j, complex(0.0, -5.0))), ValueError,
+                                        r"exosystem spectrum must start with its built-in zero, got \(5j, -5j\)"),
+    "exosystem_spectrum_empty": (lambda: Exosystem(()), ValueError,
+                                 r"exosystem spectrum must start with its built-in zero, got \(\)"),
+    "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]), ValueError,
                           r"exosystem spectrum must be finite, got \(\(inf\+0j\),\)"),
-    "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), r"exosystem spectrum must be finite, got \(\(nan\+0j\),\)"),
-    "spectrum_long_nan": (lambda: exosystem_from_spectrum([0.0] * 100_000 + [NAN]),
+    "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), ValueError,
+                     r"exosystem spectrum must be finite, got \(\(nan\+0j\),\)"),
+    "spectrum_long_nan": (lambda: exosystem_from_spectrum([0.0] * 100_000 + [NAN]), ValueError,
                           r"\A(?=exosystem spectrum must be finite, got .*\(nan\+0j\)).{1,200}\Z"),
-    "spectrum_infinite_carrier": (lambda: exosystem_from_spectrum([complex(0.0, INF), complex(0.0, -INF)]),
+    "spectrum_infinite_carrier": (lambda: exosystem_from_spectrum([complex(0.0, INF), complex(0.0, -INF)]), ValueError,
                                   "exosystem spectrum must be finite"),
+    # finite terms whose slope bound, value at t = 0 or residual shift leaves the double range
+    "s_norm_exp_then_hold_overflows": (lambda: s_norm(ExpThenHold(1000.0)), Overflow, NORM_OVERFLOWS),
+    "s_norm_harmonic_overflows": (lambda: s_norm(Harmonic(1e200, 1e200)), Overflow, NORM_OVERFLOWS),
+    "s_norm_sum_overflows": (lambda: s_norm(Sum((Harmonic(1e308, 1.0),) * 2)), Overflow, NORM_OVERFLOWS),
+    "s_norm_value_overflows": (lambda: s_norm(Sum((Constant(1e308),) * 2)), Overflow, NORM_OVERFLOWS),
+    "decompose_exp_then_hold_overflows": (lambda: decompose(ExpThenHold(1000.0), exosystem_from_spectrum([])),
+                                          Overflow, NORM_OVERFLOWS),
+    "decompose_harmonic_overflows": (lambda: decompose(Harmonic(1e200, 1e200), exosystem_from_spectrum([])),
+                                     Overflow, NORM_OVERFLOWS),
+    "decompose_sum_overflows": (lambda: decompose(Sum((Harmonic(1e308, 1.0),) * 2), exosystem_from_spectrum([])),
+                                Overflow, NORM_OVERFLOWS),
+    "decompose_shift_overflows": (lambda: decompose(Sum((Harmonic(1e308, 1.0, np.pi / 2),) * 2),
+                                                    exosystem_from_spectrum([])),
+                                  Overflow, "residual value at t = 0 overflows the double range"),
 }
 
 
 @pytest.mark.parametrize("name", REFUSALS)
 def test_library_refusal(name):
-    call, message = REFUSALS[name]
-    with pytest.raises(ValueError, match=message):
-        call()
+    call, exc, message = REFUSALS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=message):
+            call()
 
 
 class TestDecompose:

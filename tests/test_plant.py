@@ -10,7 +10,7 @@ from edo import (
     is_observable_for_omega,
     transmission_zero_holds,
 )
-from edo.errors import EmptyCoefficients, NotControllable, SpectraOverlap
+from edo.errors import EmptyCoefficients, NotControllable, Overflow, SpectraOverlap
 from edo.linalg import companion_from_last_row
 from edo.plant import controllability_matrix
 
@@ -53,6 +53,13 @@ REFUSALS = {
                                  ValueError, r"spectrum_of_G must be finite, got \(1j, \(nan\+0j\)\); entry 1"),
     "observable_for_omega_inf": (lambda: is_observable_for_omega(double_integrator_example(), [float("-inf")]),
                                  ValueError, r"spectrum_of_G must be finite, got \(\(-inf\+0j\),\)"),
+    # finite entries whose Krylov rows leave the double range
+    "observable_for_omega_krylov_overflows": (
+        lambda: is_observable_for_omega(GeneralPlant(A=[[1e308, 1e308], [1e308, 1e308]], B=[1, 0], C=[1, 1]),
+                                        [1j, -1j]),
+        Overflow, "Krylov rows of an order-2 matrix overflow the double range"),
+    "canonical_transform_krylov_overflows": (lambda: controllability_canonical_transform(canonical_plant([1e200] * 3)),
+                                             Overflow, "Krylov rows of an order-3 matrix overflow the double range"),
 }
 
 

@@ -399,7 +399,7 @@ class TestOutputRow:
         gp = GeneralPlant(A=[[0.0, -2.0], [1.0, -3.0]], B=[1.0, 0.0], C=[0.5, 1.0])
         obs = assemble_known_dynamics_observer(gp, [[0.0]], [1.0], [-4.0, -4.0], [-1.0])
         rs = RegulatorSolution(S=np.zeros((2, 1)), Q=obs.d_hat_row[2:])
-        fb = StabilizerGain(omega_c=1.0, F=np.array([-1.0, 0.5]), U=np.eye(2))
+        fb = StabilizerGain(omega_c=1.0, F=np.array([-1.0, 0.5]))
         return gp, obs, fb, rs
 
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])

@@ -535,7 +535,7 @@ class TestClosedLoopBuilder:
         d = scenario_design("fig2")
         p, obs, fb, rs = d.plant, d.observer, d.stabilizer, d.regulator
         if wrong == "feedback_order":
-            fb = StabilizerGain(omega_c=fb.omega_c, F=np.append(fb.F, 1.0), U=fb.U)
+            fb = StabilizerGain(omega_c=fb.omega_c, F=np.append(fb.F, 1.0))
         else:
             rs = RegulatorSolution(S=rs.S, Q=rs.Q[:-1])
         with pytest.raises(DimensionMismatch):
