@@ -4,9 +4,9 @@ Signals live in the class of bounded functions with bounded (weak)
 derivative.  An exosystem is the autonomous companion system whose output
 space spans exactly the disturbance dynamics assumed known; it is built
 from its spectrum alone (a zero eigenvalue always built in), so its G and
-the frequencies ``decompose`` routes by cannot disagree.  ``decompose``
-splits a structured signal into the part the exosystem can generate and
-the residual the observer must absorb by high gain.
+the frequencies and zero count ``decompose`` routes by cannot disagree.
+``decompose`` splits a structured signal into the part the exosystem can
+generate and the residual the observer must absorb by high gain.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ class Polynomial(Signal):
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        """Index of the last nonzero coefficient; 0 for the zero polynomial."""
+        return max((k for k, c in enumerate(self.coefficients) if c != 0.0), default=0)
 
     def value(self, t):
         acc = t * 0.0
@@ -160,7 +161,7 @@ class ExpThenHold(_NumberFields):
         return np.where(np.asarray(t) < self.switch_time, np.exp(np.minimum(t, self.switch_time)), 0.0)
 
     def sup_slope(self) -> float:
-        return float(np.exp(max(self.switch_time, 0.0)))  # left limit at the switch
+        return float(np.exp(self.switch_time)) if self.switch_time > 0.0 else 0.0  # constant on t >= 0 if T <= 0
 
     def generated_by(self, exo: Exosystem) -> bool:
         return False  # piecewise signals are residual-only
@@ -235,9 +236,9 @@ class Exosystem:
     half-plane, repeats allowed.  ``g``, derived from it, holds the m free
     entries of the last row ``[0, g_1, ..., g_m]``: the first column
     vanishes, the first coordinate vector is an eigenvector for 0, and the
-    characteristic polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``.  The
-    matrices are built once per instance and are read-only; the fields are
-    frozen.
+    characteristic polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``; a
+    spectrum whose f64 polynomial has more zero roots than it names (an
+    underflow) is refused (Overflow).  Matrices are built once, read-only.
     """
 
     spectrum: tuple
@@ -264,12 +265,15 @@ class Exosystem:
             coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
         coeffs = np.convolve(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
         if not np.isfinite(coeffs).all():
-            raise Overflow(f"spectrum {requested} overflows the exosystem polynomial")
+            raise Overflow(f"spectrum {linalg.echo(requested)} overflows the exosystem polynomial")
         scale = max(1.0, np.abs(coeffs).max())
         if np.abs(coeffs.imag).max() > 1e-9 * scale:
             raise NotConjugateClosed("expansion left a complex residue")
+        # each zero eigenvalue leaves an exact trailing zero; one more is a product that underflowed
+        if coeffs.real[-1 - spectrum.count(0)] == 0.0:
+            raise Overflow(f"spectrum {linalg.echo(requested)} underflows the exosystem polynomial")
         # coeffs.real = [1, c_m, ..., c_1, 0]; last row entries are g_j = -c_j
-        g = tuple(-v + 0.0 for v in coeffs.real[1:-1][::-1])  # +0.0 kills negative zeros
+        g = tuple((-coeffs.real[-2:0:-1] + 0.0).tolist())  # +0.0 kills negative zeros
         object.__setattr__(self, "g", g)
 
     @property
@@ -298,12 +302,7 @@ class Exosystem:
 
     @property
     def zero_multiplicity(self) -> int:
-        mult = 1
-        for v in self.g:
-            if v != 0.0:
-                break
-            mult += 1
-        return mult
+        return self.spectrum.count(0)
 
 
 def exosystem_from_spectrum(nonzero_eigs) -> Exosystem:

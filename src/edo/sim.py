@@ -144,8 +144,11 @@ def simulate(
 
     The measurement fed to the observer at each step is
     ``y = ramp(t) * C x + noise_std * xi_k`` with one normal draw per step,
-    held across the integrator stages of that step.  Without a feedback
-    gain the control is identically zero (observer-only run).  A grid too
+    held across the integrator stages of that step.  The control is
+    ``u = F x_hat - d_hat``, cancelling the estimate the trajectory
+    records (``rs`` must be the regulator solution ``obs`` was assembled
+    from, ValueError otherwise); without a feedback gain it is
+    identically zero (observer-only run).  A grid too
     large to allocate raises ``ConfigError``; a state beyond
     ``DIVERGENCE_GUARD`` (or not finite) raises ``NonFinite`` naming the
     first such grid time.

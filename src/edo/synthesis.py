@@ -9,7 +9,8 @@ The design pipeline is:
 3. solve the constrained Sylvester (regulator) system for the coupling
    matrix S and the disturbance read-out row Q;
 4. assemble the combined state-plus-disturbance estimator, and optionally
-   a scheduled state-feedback row for the closed loop.
+   a scheduled state-feedback row for the closed loop, whose control
+   ``u = F x_hat - d_hat`` cancels the estimator's own disturbance estimate.
 
 The estimator's error dynamics are block-triangularizable by S, so the
 closed-loop spectrum is exactly the union of the three designed spectra.
@@ -393,9 +394,10 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     """Drift matrix and disturbance column of the full closed loop.
 
     State ordering is (plant state, observer state); the control is
-    ``u = F x_hat - Q v_hat`` and the measurement feeds the observer
-    noise- and ramp-free.  The spectrum is the union of the stabilized
-    plant, scheduled observer, and scheduled exosystem spectra.
+    ``u = F x_hat - d_hat``, cancelling the observer's own disturbance
+    estimate, and the measurement feeds the observer noise- and ramp-free.
+    The spectrum is the union of the stabilized plant, scheduled observer,
+    and scheduled exosystem spectra.
     """
     M, U, _, dist_col, _ = _loop(p, obs, fb, rs)
     # assigned, not added: the report prints the -0.0 entries of the outer product
@@ -404,9 +406,12 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
 
 
 def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: RegulatorSolution):
-    """Layout of the closed loop ``u = F_aug z_obs``, ``F_aug = [F, -Q]``.
+    """Layout of the closed loop ``u = F_aug z_obs = F x_hat - d_hat``.
 
-    The state is (plant, observer), and without ``fb`` the control is zero.
+    ``F_aug = [F, -obs.d_hat_row[n:]]``: the control cancels the estimate
+    the observer reports, and ``rs`` must be the regulator solution it
+    was assembled from (ValueError otherwise).  The state is (plant,
+    observer), and without ``fb`` the control is zero.
     Returns ``(M0, U, col_y, col_d, F_aug)``.  The measurement
     ``y = r C x`` at ramp value r enters the drift through the column
     ``col_y = [0, L_y]``, so the drift is ``M0 + r U`` with the rank-one
@@ -416,7 +421,10 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     n = p.n
     if obs.n != n or (fb is not None and fb.F.shape != (n,)) or rs.Q.shape != (obs.v_dim,):
         raise DimensionMismatch("plant, observer, feedback, and regulator sizes disagree")
-    F_aug = np.zeros(obs.dim) if fb is None else np.concatenate([fb.F, -rs.Q])
+    Q = obs.d_hat_row[n:]
+    if not np.array_equal(rs.Q, Q):
+        raise ValueError("regulator solution is not the one the observer was assembled from")
+    F_aug = np.zeros(obs.dim) if fb is None else np.concatenate([fb.F, -Q])
     M0 = np.zeros((n + obs.dim, n + obs.dim))
     M0[:n, :n] = p.A
     M0[:n, n:] = np.outer(p.B, F_aug)

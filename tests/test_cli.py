@@ -190,6 +190,24 @@ class TestDesignCommand:
         assert f"synthesis error {message}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_underflowing_spectrum_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # fig3 with its carrier moved to +-1e-200j: the pair's product
+        # underflows, which would leave G with a triple zero the spectrum does not name
+        cfg = json.loads(json.dumps(cli.SCENARIOS["fig3"]))
+        cfg["exosystem"]["spectrum"] = [[0.0, 1e-200], [0.0, -1e-200]]
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert err.splitlines() == [
+            "synthesis error (Overflow): spectrum [1e-200j, -1e-200j] underflows the exosystem polynomial"
+        ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("omega_o", [1e80, 1e100])
     @pytest.mark.parametrize("command", ["design", "simulate"])
     def test_overflowing_regulator_solution_exits_3(self, tmp_path, capsys, monkeypatch, command, omega_o):

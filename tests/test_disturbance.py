@@ -1,5 +1,7 @@
 import warnings
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -90,6 +92,16 @@ class TestSNorm:
     def test_exp_then_hold(self):
         assert s_norm(ExpThenHold(1.0)) == pytest.approx(1.0 + np.e)
 
+    @pytest.mark.parametrize("switch_time", [-1.0, -0.5, 0.0])
+    def test_exp_then_hold_switched_before_start_is_constant(self, switch_time):
+        # on t >= 0 the signal is the constant exp(T), and its slope is 0
+        assert s_norm(ExpThenHold(switch_time)) == np.exp(switch_time)
+        assert decompose(ExpThenHold(switch_time), exosystem_from_spectrum([])).residual_s_norm == 0.0
+
+    @pytest.mark.parametrize("coefficients", [(1.0, 0.0, 0.0), (-2.0, 0.5, 0.0, 0.0)], ids=["constant", "linear"])
+    def test_trailing_zero_coefficients_are_not_degree(self, coefficients):
+        assert s_norm(Polynomial(coefficients)) == abs(coefficients[0]) + abs(coefficients[1])
+
     def test_linear_polynomial(self):
         assert s_norm(Polynomial((1.0, -4.0))) == pytest.approx(5.0)
 
@@ -170,6 +182,37 @@ class TestExosystem:
         assert exo.g == (0.0, 0.0)
         assert exo.zero_multiplicity == 3
 
+    def test_smallest_surviving_pair_keeps_its_zero_count(self):
+        # kept boundary: the constant coefficient 1e-320 is subnormal, not zero
+        exo = exosystem_from_spectrum([0.0, 1e-160j, -1e-160j])
+        assert exo.zero_multiplicity == 2 and exo.g[1] != 0.0
+
+    def test_g_holds_python_floats(self):
+        exo = exosystem_from_spectrum([2j, -2j])
+        assert all(type(v) is float for v in exo.g)
+        assert repr(exo) == "Exosystem(spectrum=(0j, 2j, (-0-2j)), g=(-4.0, 0.0))"
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(
+        magnitudes=st.lists(st.floats(-200.0, 200.0), max_size=3),
+        real_parts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        zeros=st.integers(0, 2),
+    )
+    def test_zero_count_is_the_polynomial_zero_count(self, magnitudes, real_parts, zeros):
+        # conjugate pairs with magnitudes log-uniform in 1e-200..1e200: an
+        # accepted exosystem's polynomial has exactly the zero roots its spectrum names
+        spectrum = [0.0] * zeros
+        for e, a in zip(magnitudes, real_parts):
+            lam = 10.0**e * complex(a, 1.0 - a)
+            spectrum += [lam, lam.conjugate()]
+        try:
+            exo = exosystem_from_spectrum(spectrum)
+        except Overflow:
+            return
+        coefficients = (1.0,) + tuple(-v for v in reversed(exo.g)) + (0.0,)
+        trailing = len(coefficients) - len(np.trim_zeros(np.array(coefficients), "b"))
+        assert exo.zero_multiplicity == exo.spectrum.count(0) == trailing
+
     @pytest.mark.parametrize(
         "spectrum",
         [[], [0.0], [0.0, 0.0, 0.0], [3j, -3j, 3j, -3j], [0.0, 2.5j, -2.5j], [0.5, 1 + 4j, 1 - 4j], [7.0, 7.0]],
@@ -242,6 +285,19 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="polynomial needs at least one coefficient"):
             Polynomial(())
 
+    @pytest.mark.parametrize(
+        "coefficients, degree",
+        [((0.0, 0.0, 0.0), 0), ((1.0, 0.0, 0.0), 0), ((0.0, 1.0, 0.0), 1), ((0.0, 0.0, 1.0, 0.0), 2)],
+        ids=["zero", "constant", "ramp", "quadratic"],
+    )
+    def test_degree_is_the_last_nonzero_coefficient(self, coefficients, degree):
+        assert Polynomial(coefficients).degree == degree
+
+    def test_ramp_with_a_trailing_zero_is_modelled(self):
+        ramp = Polynomial((0.0, 1.0, 0.0))
+        dec = decompose(ramp, exosystem_from_spectrum([0.0]))
+        assert dec.modeled.terms == (ramp,) and dec.residual_s_norm == 0.0
+
 
 NAN, INF = float("nan"), float("inf")
 NORM_OVERFLOWS = "signal-class norm overflows the double range"
@@ -266,6 +322,15 @@ REFUSALS = {
                                         r"exosystem spectrum must start with its built-in zero, got \(5j, -5j\)"),
     "exosystem_spectrum_empty": (lambda: Exosystem(()), ValueError,
                                  r"exosystem spectrum must start with its built-in zero, got \(\)"),
+    "spectrum_long_overflows": (lambda: exosystem_from_spectrum([1e200j, -1e200j] + [0.0] * 200), Overflow,
+                                r"\A(?=spectrum \[1e\+200j, .*overflows the exosystem polynomial).{1,200}\Z"),
+    # a pair whose product underflows would add zero roots the spectrum does not name
+    "spectrum_pair_underflows": (lambda: exosystem_from_spectrum([1e-200j, -1e-200j]), Overflow,
+                                 r"spectrum \[1e-200j, \(-0-1e-200j\)\] underflows the exosystem polynomial"),
+    "spectrum_pair_underflows_beside_a_carrier": (lambda: exosystem_from_spectrum([1e-200j, -1e-200j, 3j, -3j]),
+                                                  Overflow, "underflows the exosystem polynomial"),
+    "spectrum_repeated_pair_underflows": (lambda: exosystem_from_spectrum([1e-100j, -1e-100j] * 2), Overflow,
+                                          "underflows the exosystem polynomial"),
     "spectrum_huge_int": (lambda: exosystem_from_spectrum([10**400]), ValueError,
                           r"exosystem spectrum must be finite, got \(\(inf\+0j\),\)"),
     "spectrum_nan": (lambda: exosystem_from_spectrum([NAN]), ValueError,

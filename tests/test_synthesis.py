@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -530,19 +531,38 @@ class TestClosedLoopAndErrorSystem:
 class TestClosedLoopBuilder:
     """``closed_loop`` and ``simulate`` share one layout of the closed loop."""
 
-    @pytest.mark.parametrize("wrong", ["feedback_order", "regulator_row"])
-    def test_size_mismatch_raises(self, wrong):
+    @pytest.mark.parametrize(
+        "wrong, exc, message",
+        [
+            ("feedback_order", DimensionMismatch, "sizes disagree"),
+            ("regulator_row", DimensionMismatch, "sizes disagree"),
+            # the same sizes, but not the Q the observer reports d_hat with
+            ("regulator_value", ValueError, "regulator solution is not the one the observer was assembled from"),
+        ],
+        ids=["feedback_order", "regulator_row", "regulator_value"],
+    )
+    def test_size_mismatch_raises(self, wrong, exc, message):
         d = scenario_design("fig2")
         p, obs, fb, rs = d.plant, d.observer, d.stabilizer, d.regulator
         if wrong == "feedback_order":
             fb = StabilizerGain(omega_c=fb.omega_c, F=np.append(fb.F, 1.0))
-        else:
+        elif wrong == "regulator_row":
             rs = RegulatorSolution(S=rs.S, Q=rs.Q[:-1])
-        with pytest.raises(DimensionMismatch):
+        else:
+            rs = scenario_design("fig3").regulator
+        with pytest.raises(exc, match=message):
             closed_loop(p, obs, fb, rs)
         cfg = SimConfig(t_end=1e-3, dt=1e-4)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(exc, match=message):
             simulate(p, obs, fb, rs, Constant(0.0), cfg, np.zeros(p.n), np.zeros(obs.dim))
+
+    def test_control_cancels_the_recorded_estimate(self):
+        # u = F x_hat - d_hat, with d_hat the estimate the trajectory records
+        cfg = cli.parse_config(cli.SCENARIOS["fig4"])
+        tr = cli.run_config(dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, t_end=0.5)))
+        d = cli.build_design(cfg)
+        expected = tr.x_hat @ d.stabilizer.F - tr.d_hat
+        assert np.abs(tr.u - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
     def test_integrated_drift_is_reported_drift(self, name):
