@@ -41,10 +41,6 @@ __all__ = [
     "decompose",
 ]
 
-#: Absolute tolerance when matching term frequencies to exosystem eigenvalues.
-FREQ_ATOL = 1e-9
-
-
 class Signal:
     """Base class of the tagged signal union; each kind owns its slope bound and exosystem match."""
 
@@ -106,8 +102,7 @@ class Harmonic(_NumberFields):
         return abs(self.amplitude * self.frequency)
 
     def generated_by(self, exo: Exosystem) -> bool:
-        return any(abs(lam.real) <= FREQ_ATOL and abs(abs(lam.imag) - abs(self.frequency)) <= FREQ_ATOL
-                   for lam in exo.spectrum)
+        return complex(0.0, abs(self.frequency)) in exo.spectrum
 
 
 @dataclass(frozen=True)
@@ -231,14 +226,15 @@ class Exosystem:
     """Companion disturbance dynamics with a built-in zero eigenvalue.
 
     ``spectrum``, the one input, is the built-in zero followed by the
-    requested eigenvalues exactly as given (frequency matching stays free
-    of eigensolver noise): closed under conjugation, none in the open left
-    half-plane, repeats allowed.  ``g``, derived from it, holds the m free
-    entries of the last row ``[0, g_1, ..., g_m]``: the first column
-    vanishes, the first coordinate vector is an eigenvector for 0, and the
-    characteristic polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``; a
-    spectrum whose f64 polynomial has more zero roots than it names (an
-    underflow) is refused (Overflow).  Matrices are built once, read-only.
+    requested eigenvalues exactly as given (``decompose`` matches a term
+    frequency only if it equals one exactly): closed under conjugation,
+    none in the open left half-plane, repeats allowed.  ``g``, derived
+    from it, holds the m free entries of the last row ``[0, g_1, ...,
+    g_m]``: the first column vanishes, the first coordinate vector is an
+    eigenvector for 0, and the characteristic polynomial is ``l^(m+1) -
+    g_m l^m - ... - g_1 l``; a spectrum whose f64 polynomial has more
+    zero roots than it names (an underflow) is refused (Overflow).
+    Matrices are built once, read-only.
     """
 
     spectrum: tuple
@@ -322,12 +318,13 @@ class Decomposition:
 def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     """Term-match a structured signal against the exosystem spectrum.
 
-    Terms whose generating frequency is an exosystem eigenvalue go to the
-    modeled part, everything else to the residual.  The residual is then
-    shifted by a constant so it vanishes at t = 0 (legitimate because the
-    exosystem always contains the zero eigenvalue), which makes its norm
-    exactly the supremum of its derivative.  A shift or norm beyond the
-    double range is refused (Overflow).
+    Terms whose generating frequency is exactly an exosystem eigenvalue go
+    to the modeled part, everything else, however close, to the residual.
+    The residual is then shifted by a constant so it vanishes at t = 0
+    (legitimate because the exosystem always contains the zero
+    eigenvalue), which makes its norm exactly the supremum of its
+    derivative.  A shift or norm beyond the double range is refused
+    (Overflow).
     """
     modeled, residual = [], []
     for term in _terms(d):

@@ -434,13 +434,13 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     return M0, U, col_y, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
 
 
-def error_system(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolution):
+def error_system(obs: ObserverRealization, exo: Exosystem):
     """Estimation-error dynamics (A_err, B_err) driven by the residual slope.
 
-    ``A_err`` couples the state error to the carrier error exactly as the
-    observer does; the forcing column is the zero eigenvector of G scaled
-    by ``1 / (Q B_d)``.
+    ``A_err`` is a copy of the observer drift; the forcing column is the
+    zero eigenvector of G scaled by ``1 / (Q B_d)``, Q the observer's read-out.
     """
-    A_err = assemble_edo(p, exo, sg, rs).A_hat
-    B_err = np.concatenate([np.zeros(p.n), exo.B_d]) / float(rs.Q @ exo.B_d)
-    return A_err, B_err
+    if obs.v_dim != exo.dim:
+        raise DimensionMismatch(f"observer carrier of size {obs.v_dim} does not fit exosystem dimension {exo.dim}")
+    B_err = np.concatenate([np.zeros(obs.n), exo.B_d]) / float(obs.d_hat_row[obs.n :] @ exo.B_d)
+    return obs.A_hat.copy(), B_err

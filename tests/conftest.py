@@ -343,17 +343,17 @@ def mp_assembled_separation_gap(inst, fb, dps=50):
         mp.dps = old
 
 
-def steady_dist_err_amplitude(plant, exo, sg, rs, freq, slope_amp):
+def steady_dist_err_amplitude(obs, exo, freq, slope_amp):
     """Frequency-domain oracle for the steady disturbance-estimate error.
 
     The error system is driven by the residual's derivative; for a
     sinusoidal residual of slope amplitude ``slope_amp`` at ``freq`` the
-    stationary error amplitude is |Q (jw - A_err)^-1 B_err| * slope_amp.
+    stationary error amplitude is |Q (jw - A_err)^-1 B_err| * slope_amp,
+    with ``Q`` the observer's read-out ``d_hat_row``.
     """
-    A_err, B_err = error_system(plant, exo, sg, rs)
+    A_err, B_err = error_system(obs, exo)
     dim = A_err.shape[0]
-    Q_row = np.concatenate([np.zeros(plant.n), rs.Q])
-    H = Q_row @ np.linalg.solve(1j * freq * np.eye(dim) - A_err, B_err.astype(complex))
+    H = obs.d_hat_row @ np.linalg.solve(1j * freq * np.eye(dim) - A_err, B_err.astype(complex))
     return float(abs(H) * slope_amp)
 
 

@@ -428,6 +428,39 @@ class TestDecompose:
         with pytest.raises(UnsupportedVariant, match="cannot route Ramp"):
             decompose(Sum((Constant(1.0), Ramp())), exosystem_from_spectrum([]))
 
+    @pytest.mark.parametrize(
+        "frequency, carriers",
+        [(5e-10, []), (10.0 + 5e-10, [10j, -10j]), (10.0, [complex(-1e-10, 10.0), complex(-1e-10, -10.0)])],
+        ids=["near_zero", "near_carrier", "decaying_carrier"],
+    )
+    def test_only_the_exact_frequency_is_modelled(self, frequency, carriers):
+        # G generates only its exact eigenvalues, so anything else, however
+        # close, is residual and carries its slope into the residual norm
+        term = Harmonic(1e6, frequency)
+        dec = decompose(term, exosystem_from_spectrum(carriers))
+        assert dec.modeled.terms == () and dec.residual.terms == (term,)
+        assert dec.residual_s_norm == 1e6 * frequency
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=150, deadline=1000)
+    @hypothesis.given(
+        carriers=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=3),
+        pick=st.integers(0, 2),
+        move=st.one_of(st.just(0), st.integers(-3, 3), st.floats(-1e-9, 1e-9)),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_modelled_iff_its_frequency_is_in_the_spectrum(self, carriers, pick, move, sign):
+        # a carrier, a carrier moved a few ulps, or a carrier moved by up to 1e-9 rad/s
+        nu = carriers[pick % len(carriers)]
+        if isinstance(move, int):
+            for _ in range(abs(move)):
+                nu = float(np.nextafter(nu, np.copysign(np.inf, move)))
+        else:
+            nu += move
+        exo = exosystem_from_spectrum([s * 1j * f for f in carriers for s in (1, -1)])
+        term = Harmonic(1.0, sign * nu)
+        modelled = decompose(term, exo).modeled.terms == (term,)
+        assert modelled == (complex(0.0, abs(nu)) in exo.spectrum) == (abs(nu) in carriers or nu == 0.0)
+
     def test_exp_then_hold_goes_residual(self):
         dec = decompose(Sum((ExpThenHold(1.0), Constant(2.0))), exosystem_from_spectrum([]))
         # hold value e^1, slope sup e^1, shifted start: norm is sup|de/dt|

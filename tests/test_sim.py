@@ -192,7 +192,7 @@ class TestSteadyStateAgainstFrequencyOracle:
         cfg = SimConfig(t_end=10.0, dt=1e-3, output_ramp=True)
         tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, [0.0, 1.0], np.zeros(3))
         m = metrics(tr, 0.2)
-        oracle = steady_dist_err_amplitude(p, exo, sg, rs, 10.0, 10.0)
+        oracle = steady_dist_err_amplitude(obs, exo, 10.0, 10.0)
         return m.tail_max_dist_err, oracle
 
     def test_tail_matches_oracle_at_two_bandwidths(self):
@@ -232,7 +232,7 @@ class TestExactModelBehaviour:
         )
         i2, i3 = 2000, 3000
         rate = np.log(err[i2] / err[i3]) / (tr.times[i3] - tr.times[i2])
-        design_rate = -eigenvalues(error_system(p, exo, sg, rs)[0]).real.max()
+        design_rate = -eigenvalues(error_system(obs, exo)[0]).real.max()
         assert rate == pytest.approx(design_rate, rel=0.2)
 
     def test_state_regulated_to_zero_with_exact_model(self):

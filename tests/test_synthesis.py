@@ -281,6 +281,8 @@ REFUSALS = {
                                       "scheduled gains sized"),
     "assemble_edo_regulator_size": (lambda: with_regulator_solution(np.zeros((2, 2)), np.zeros(1)),
                                     DimensionMismatch, r"regulator solution sized \(2, 2\)"),
+    "error_system_dims": (lambda: error_system(known_dynamics_observer(), exosystem_from_spectrum([10j, -10j])),
+                          DimensionMismatch, "observer carrier of size 1 does not fit exosystem dimension 3"),
     "known_dynamics_dims": (lambda: known_dynamics_observer(F0=(-4.0,)), DimensionMismatch,
                             "inconsistent observer design dimensions"),
     "known_dynamics_non_hurwitz": (lambda: known_dynamics_observer(F0=(0.0, 0.0)), NonHurwitz,
@@ -461,7 +463,7 @@ class TestSharedRealization:
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
     def test_error_matrix_is_observer_drift(self, name):
         d = scenario_design(name)
-        A_err, _ = error_system(d.plant, d.exo, d.gains, d.regulator)
+        A_err, _ = error_system(d.observer, d.exo)
         assert np.array_equal(A_err, assemble_edo(d.plant, d.exo, d.gains, d.regulator).A_hat)
 
 
@@ -506,17 +508,32 @@ class TestClosedLoopAndErrorSystem:
 
     def test_error_system_spectrum_and_forcing(self):
         p, exo, _, sg, rs = reference_design()
-        A_err, B_err = error_system(p, exo, sg, rs)
+        A_err, B_err = error_system(assemble_edo(p, exo, sg, rs), exo)
         got = eigenvalues(A_err)
         assert np.abs(got - [-10.0, -10.0, -10.0]).max() < 1e-4  # defective triple
         assert spectrum_gap_f64(A_err, [p.A + np.outer(sg.K_omega, p.C), exo.G + np.outer(exo.E, sg.P_omega)]) < 1e-4
         assert np.array_equal(B_err, [0.0, 0.0, 1.0 / 1000.0])
 
+    def test_error_system_of_a_known_dynamics_observer(self):
+        # any observer has an error system: here F0 places {-2, -1} and F2 P_row = -1
+        obs = known_dynamics_observer()
+        A_err, B_err = error_system(obs, exosystem_from_spectrum([]))
+        got = eigenvalues(A_err)
+        assert np.abs(np.sort(got.real) - [-2.0, -1.0, -1.0]).max() < 1e-6 and np.abs(got.imag).max() < 1e-6
+        assert np.array_equal(B_err, [0.0, 0.0, 1.0 / obs.d_hat_row[2]])
+
+    def test_error_matrix_is_a_copy(self):
+        obs = known_dynamics_observer()
+        drift = obs.A_hat.copy()
+        A_err, _ = error_system(obs, exosystem_from_spectrum([]))
+        A_err[:] = 7.0
+        assert np.array_equal(obs.A_hat, drift)
+
     def test_triangularizing_similarity(self):
         # at unit bandwidth the coupling transform block-triangularizes
         # the error matrix exactly
         p, exo, _, sg, rs = reference_design(omega_o=1.0)
-        A_err, _ = error_system(p, exo, sg, rs)
+        A_err, _ = error_system(assemble_edo(p, exo, sg, rs), exo)
         n, d = p.n, exo.dim
         P = np.eye(n + d)
         P[:n, n:] = rs.S
