@@ -28,6 +28,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -396,6 +397,66 @@ def write_csv(fh, tr: Trajectory) -> None:
         fh.write(shortest.csv_text(np.column_stack([c[start : start + rows] for c in columns])))
 
 
+#: Below this magnitude 100 |v| rounds to an integer of at most 2^53, so
+#: ``_points`` writes ``.2f`` text exactly; at or above it, ``format`` does.
+FIXED2_LIMIT = 2.0**53 / 100
+
+
+@cache
+def _last_places():
+    """``dd.dd,`` and two zero bytes for each of 0000..9999, as one
+    little-endian uint64."""
+    text = np.zeros((10_000, 8), dtype=np.uint8)
+    quads = shortest._digit_text()[0].view(np.uint8).reshape(-1, 4)
+    text[:, [0, 1, 3, 4]] = quads
+    text[:, 2] = ord(".")
+    text[:, 5] = ord(",")
+    text.flags.writeable = False
+    return text.view("<u8").reshape(-1)
+
+
+def _points(px, py) -> str:
+    """``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the points, formatted in numpy.
+
+    A coordinate v = ±c 2^q is rounded as ``format(v, ".2f")`` rounds it: the
+    integer 100 c (below 2^60) is shifted right by -q, half to even on the
+    exact remainder, and the sign bit is written, so -0.0 and tiny negatives
+    read ``-0.00``.  A coordinate that is not finite, or of magnitude
+    ``FIXED2_LIMIT`` or more, is written by ``format`` itself.
+    """
+    values = np.column_stack([px, py]).reshape(-1)
+    bad = ~(np.abs(values) < FIXED2_LIMIT)
+    bits = np.where(bad, 0.0, values).view(np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    c = bits & np.uint64(2**52 - 1)
+    c = np.where(exponent != 0, c | np.uint64(2**52), c) * np.uint64(100)
+    # -q = 1075 - exponent (1074 for subnormals) >= 6 here; from 61 on, 100 c < 2^60 rounds to 0
+    shift = np.minimum(np.uint64(1075) - np.maximum(exponent, np.uint64(1)), np.uint64(63))
+    hundredths = c >> shift
+    remainder = c - (hundredths << shift)
+    half = np.uint64(1) << (shift - np.uint64(1))
+    hundredths += (remainder > half) | ((remainder == half) & ((hundredths & np.uint64(1)) == 1))
+    quad_text = shortest._digit_text()[0]
+    *quads, last = shortest._quads(hundredths)
+    # sign, 16 places of 100 |v| with '.' before the last two, separator, two spare bytes
+    text = np.empty((values.size, 21), dtype=np.uint8)
+    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    places = text[:, 1:13].view("<u4")
+    for j, quad in enumerate(quads):
+        places[:, j] = quad_text.take(quad)
+    text[:, 13:].view("<u8")[:, 0] = _last_places().take(last)
+    text[1::2, 18] = ord(" ")
+    digits = np.searchsorted(shortest._POW10[3:], hundredths, side="right") + 1  # of the whole part
+    text[:, 1:15] *= np.arange(14) >= 14 - digits[:, None]
+    out = text.tobytes().translate(None, b"\0").decode("ascii")[:-1]
+    if bad.any():
+        parts = re.split("[, ]", out)
+        for i in np.flatnonzero(bad):
+            parts[i] = format(values[i], ".2f")
+        out = " ".join(map(",".join, zip(parts[0::2], parts[1::2])))
+    return out
+
+
 def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
     stride = max(1, int(np.ceil(ts.size / limit)))
     idx = np.arange(0, ts.size, stride)
@@ -407,7 +468,7 @@ def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
     dt_ = t_hi - t_lo or 1.0
     px = x0 + (ts[idx] - t_lo) / dt_ * w
     py = y0 + h - (vs[idx] - v_lo) / dv * h
-    return " ".join([f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist())])
+    return _points(px, py)
 
 
 def write_svg(fh, tr: Trajectory) -> None:
@@ -575,7 +636,10 @@ def cmd_probe(omega_list) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; each subcommand's ``run`` looks its
+    ``cmd_*`` handler up when it is called."""
     parser = argparse.ArgumentParser(prog="edo", description="Extended-dynamics observer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -598,9 +662,12 @@ def main(argv=None) -> int:
     p_probe = sub.add_parser("probe", help="print high-gain decay probe table")
     p_probe.add_argument("--omega", required=True)
     p_probe.set_defaults(run=lambda args: cmd_probe(args.omega))
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 

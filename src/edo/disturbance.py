@@ -247,7 +247,7 @@ class Exosystem:
         object.__setattr__(self, "spectrum", spectrum)
         requested = list(spectrum[1:])
         for lam in requested:
-            if lam.real < -1e-9:
+            if lam.real < 0.0:
                 raise RightHalfPlaneViolation(f"eigenvalue {lam} has negative real part")
         unmatched = [lam for lam in requested if lam.imag != 0.0]
         while unmatched:

@@ -803,6 +803,38 @@ class TestPolyline:
         lo, hi = float(np.min(vs)), float(np.max(vs))
         args = (ts, vs, 45, 30, 330, 225, (float(ts[0]), float(ts[-1])), (lo, hi))
         assert cli._polyline(*args, limit=limit) == _polyline_reference(*args, limit=limit)
+
+    @pytest.mark.parametrize(
+        "ts, vs, x0, t_span",
+        [
+            (np.arange(-40, 41) / 8, np.arange(81) / 8, 0.0, (0.0, 1.0)),
+            (np.array([-0.0, -5e-324, -1e-300, -0.004, -0.005, -0.0050000001, 0.0]), np.zeros(7), -0.0, (0.0, 1.0)),
+            (np.array([2.5]), np.array([-3.25]), 45.0, (2.5, 2.5)),
+        ],
+        ids=["binary_ties", "tiny_negatives", "one_point"],
+    )
+    def test_matches_per_point_loop_on_exact_coordinates(self, ts, vs, x0, t_span):
+        # unit widths and spans leave x = x0 + t and y = 1 - v exact: ties at
+        # x.125, x.375, x.625 and x.875 round half to even, -0.0 keeps its sign
+        args = (ts, vs, x0, 0.0, 1.0, 1.0, t_span, (0.0, 1.0))
+        assert cli._polyline(*args) == _polyline_reference(*args)
+
+    def test_points_match_format_over_the_exponent_range(self):
+        # random bit patterns reach every exponent, NaN and inf, so the
+        # format() fallback at and beyond FIXED2_LIMIT runs too
+        rng = np.random.default_rng(253)
+        size = 100_000
+        patterns = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+        scaled = np.ldexp(rng.random(size) + 1.0, rng.integers(-60, 50, size)) * rng.choice([-1.0, 1.0], size)
+        limit = cli.FIXED2_LIMIT
+        edges = [limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), 5e-324, -5e-324, 0.005, 0.015]
+        values = np.concatenate([patterns, scaled, edges])
+        assert not (np.abs(values) < limit).all() and (np.abs(values) < limit).any()
+        px, py = values[0::2], values[1::2]
+        want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+        assert cli._points(px, py) == want
+
+
 class TestScenarioAndProbe:
     def test_unknown_scenario_exits_2(self, tmp_path):
         assert cli.main(["scenario", "fig9", "--out", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ def test_boundaries_match_repr():
     switch_points = [1e-4, 1e-5, 1e16, 9999999999999998.0, 0.00010000000000000002]
     assert mismatches(np.concatenate([special, with_neighbours(powers), near_2_53, -near_2_53,
                                       with_neighbours(switch_points)])) == []
+
+
+def digits_and_exponent(value):
+    """Significant digit count and decimal exponent ``X`` of ``repr(value)``."""
+    exact = Decimal(repr(value))
+    return len(exact.normalize().as_tuple().digits), exact.adjusted()
+
+
+def with_digits(n, X):
+    """A positive double whose ``repr`` has ``n`` significant digits and exponent ``X``."""
+    if n <= 15:  # up to 15 digits read back as themselves
+        return float(f"{'1' + '7' * (n - 1)}e{X - n + 1}")
+    value = float(f"1.234567890123456e{X}")
+    while digits_and_exponent(value) != (n, X):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def test_every_layout_row_matches_repr():
+    # one value per (sign, digit count, form): X = -4..15, e+XX, e+XXX, e-XX, e-XXX
+    exponents = list(range(-4, 16)) + [20, 300, -20, -300]
+    values = [sign * with_digits(n, X) for sign in (1.0, -1.0) for n in range(1, 18) for X in exponents]
+    assert len({(math.copysign(1.0, v), *digits_and_exponent(v)) for v in values}) == 2 * 17 * 24
+    assert mismatches(values) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -24,8 +24,9 @@ no comparison passes over a leaked overflow.  The groups are:
 * ``sim_grid``: the 36 pooled ``sim_grid`` cases (trajectory bytes, or the
   divergence message);
 * ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``;
-* ``simulate``: the stdout and CSV of ``edo simulate`` on fig4 cut to the
-  bench's 0.5 s (``workloads.preset_config``);
+* ``simulate``: the stdout, CSV and SVG of ``edo simulate`` on fig1..fig4
+  cut to the bench's 0.5 s (``workloads.preset_config``), the files the
+  ``presets`` workload times;
 * ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
   every term kind against seeded exosystems (the ``repr`` of each result,
   or the error's class and message).
@@ -131,12 +132,13 @@ def probe(work, runs):
 
 def simulate(work, runs):
     h = hashlib.sha256()
-    config, out = os.path.join(work, "fig4_cut.json"), os.path.join(work, "fig4_cut.csv")
-    with open(config, "w", encoding="utf-8") as fh:
-        json.dump(workloads.preset_config("fig4"), fh)
-    run_cli(h, ["simulate", "--config", config, "--out", out])
-    feed_files(h, work, ["fig4_cut.csv"])
-    runs["simulate/fig4"] = workloads.trajectory_columns(cli.run_config(cli.load_config(config)))
+    for name in workloads.PRESET_NAMES:
+        stem = os.path.join(work, f"{name}_cut")
+        with open(stem + ".json", "w", encoding="utf-8") as fh:
+            json.dump(workloads.preset_config(name), fh)
+        run_cli(h, ["simulate", "--config", stem + ".json", "--out", stem + ".csv", "--svg", stem + ".svg"])
+        feed_files(h, work, [f"{name}_cut.csv", f"{name}_cut.svg"])
+        runs[f"simulate/{name}"] = workloads.trajectory_columns(cli.run_config(cli.load_config(stem + ".json")))
     return h
 
 
