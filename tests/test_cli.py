@@ -270,16 +270,23 @@ class TestSimulateCommand:
         for line in lines[1:]:
             assert ",".join(repr(float(c)) for c in line.split(",")) == line
 
-    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1, "longest first"])
     def test_csv_block_joins_match_the_row_loop(self, extra):
-        # 1 row, and one block of whole rows less one, exactly, and plus one
+        # 1 row, and one block of whole rows less one, exactly, and plus one;
+        # then four blocks through one workspace: the longest forms first
+        # (negative, 17 digits, e-3xx), the shortest in a last partial block
         width = 1 + 2 + 2 + 3 + 4
-        rows = 1 if extra is None else cli.CSV_CHUNK // width + extra
+        block = cli.CSV_CHUNK // width
+        rows = 1 if extra is None else block + (3 * block + 5 if extra == "longest first" else extra)
         rng = np.random.default_rng(rows)
         table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-30, 30, (rows, width))
         table[rng.random((rows, width)) < 0.1] = -0.0
         table[rng.random((rows, width)) < 0.1] = 0.0
         table[:, 1] = np.round(table[:, 1])
+        if extra == "longest first":
+            table[:block] = -(1.0 + rng.random((block, width))) * 10.0 ** rng.integers(-307, -300, (block, width))
+            assert max(len(repr(v)) for v in table[:block].ravel().tolist()) == len("-1.2345678901234567e-300")
+            table[-5:] = rng.choice([0.0, -0.0, 1.0, -2.0, 7.0], (5, width))
         tr = Trajectory(times=table[:, 0], x=table[:, 1:3], x_hat=table[:, 3:5], v_hat=table[:, 5:8],
                         d=table[:, 8], d_hat=table[:, 9], u=table[:, 10], y=table[:, 11])
         buf = io.StringIO()
@@ -288,6 +295,18 @@ class TestSimulateCommand:
         expected = "t,x1,x2,xhat1,xhat2,vhat1,vhat2,vhat3,d,dhat,u,y\n"
         expected += "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
         assert buf.getvalue() == expected
+
+    def test_non_finite_value_writes_nothing(self):
+        # checked before the header: a file rewritten in place is left unchanged
+        rows = 5000
+        ramp = np.linspace(0.0, 1.0, rows)
+        tr = Trajectory(times=ramp, x=np.zeros((rows, 2)), x_hat=np.zeros((rows, 2)), v_hat=np.zeros((rows, 1)),
+                        d=ramp.copy(), d_hat=ramp, u=ramp, y=ramp)
+        tr.d[-1] = math.nan
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="not finite"):
+            cli.write_csv(buf, tr)
+        assert buf.getvalue() == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

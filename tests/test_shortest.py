@@ -74,3 +74,8 @@ def test_every_layout_row_matches_repr():
 def test_non_finite_refused(bad):
     with pytest.raises(ValueError, match="not finite"):
         csv_text(np.array([[1.0, bad]]))
+
+
+def test_rows_without_values_refused():
+    with pytest.raises(ValueError, match="without values"):
+        csv_text(np.zeros((2, 0)))
