@@ -339,16 +339,18 @@ def _open_outputs(paths):
     """Open every output before the command's work; rewrite them after it.
 
     Yields one UTF-8 text stream (``newline=""``) per path, so a path that
-    cannot be opened raises ``ConfigError`` before any work is done.  No
-    file is opened with ``O_TRUNC``: on ext4 (``auto_da_alloc``) a file
-    truncated to zero is flushed on close, and the next truncating open
-    waits for the write-back.  If the block raises, the files created here
-    are removed and the others left byte-unchanged, so the block finishes
-    all that can fail before it writes.  Otherwise each regular file is cut
-    at its final length; it keeps its inode, mode and links, and special
-    files such as ``/dev/null`` are never truncated.
+    cannot be opened, or that names a regular file another path names too
+    (the same path, a hard link or a symlink to it), raises ``ConfigError``
+    before any work is done.  No file is opened with ``O_TRUNC``: on ext4
+    (``auto_da_alloc``) a file truncated to zero is flushed on close, and
+    the next truncating open waits for the write-back.  If the block
+    raises, the files created here are removed and the others left
+    byte-unchanged, so the block finishes all that can fail before it
+    writes.  Otherwise each regular file is cut at its final length; it
+    keeps its inode, mode and links, and special files such as
+    ``/dev/null`` are never truncated.
     """
-    streams, created = [], []
+    streams, created, files = [], [], {}
     try:
         for path in paths:
             new = not os.path.lexists(path)
@@ -359,6 +361,11 @@ def _open_outputs(paths):
             if new:
                 created.append(path)
             streams.append(open(fd, "w", encoding="utf-8", newline=""))
+            info = os.fstat(fd)
+            key = (info.st_dev, info.st_ino)
+            if stat.S_ISREG(info.st_mode) and key in files:
+                raise ConfigError(f"cannot write {linalg.cut(files[key])} and {linalg.cut(path)}: the same file")
+            files[key] = path
         yield streams
     except BaseException:
         for fh in streams:
@@ -400,85 +407,20 @@ def write_csv(fh, tr: Trajectory) -> None:
     fh.writelines(blocks)  # drops each block's text before the next is formatted
 
 
-#: Below this magnitude 100 |v| rounds to an integer of at most 2^53, so
-#: ``_points`` writes ``.2f`` text exactly; at or above it, ``format`` does.
-FIXED2_LIMIT = 2.0**53 / 100
-
-
-@cache
-def _last_places():
-    """``dd.dd,`` and two zero bytes for each of 0000..9999, as one
-    little-endian uint64."""
-    text = np.zeros((10_000, 8), dtype=np.uint8)
-    quads = shortest._digit_text()[0].view(np.uint8).reshape(-1, 4)
-    text[:, [0, 1, 3, 4]] = quads
-    text[:, 2] = ord(".")
-    text[:, 5] = ord(",")
-    text.flags.writeable = False
-    return text.view("<u8").reshape(-1)
-
-
-def _points(px, py) -> str:
-    """``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the points, formatted in numpy.
-
-    A coordinate v = ±c 2^q is rounded as ``format(v, ".2f")`` rounds it: the
-    integer 100 c (below 2^60) is shifted right by -q, half to even on the
-    exact remainder, and the sign bit is written, so -0.0 and tiny negatives
-    read ``-0.00``.  A coordinate that is not finite, or of magnitude
-    ``FIXED2_LIMIT`` or more, is written by ``format`` itself.
-    """
-    values = np.column_stack([px, py]).reshape(-1)
-    bad = ~(np.abs(values) < FIXED2_LIMIT)
-    bits = np.where(bad, 0.0, values).view(np.uint64)
-    exponent = (bits >> np.uint64(52)) & np.uint64(0x7FF)
-    c = bits & np.uint64(2**52 - 1)
-    c = np.where(exponent != 0, c | np.uint64(2**52), c) * np.uint64(100)
-    # -q = 1075 - exponent (1074 for subnormals) >= 6 here; from 61 on, 100 c < 2^60 rounds to 0
-    shift = np.minimum(np.uint64(1075) - np.maximum(exponent, np.uint64(1)), np.uint64(63))
-    hundredths = c >> shift
-    remainder = c - (hundredths << shift)
-    half = np.uint64(1) << (shift - np.uint64(1))
-    hundredths += (remainder > half) | ((remainder == half) & ((hundredths & np.uint64(1)) == 1))
-    digits = np.searchsorted(shortest._POW10[3:], hundredths, side="right") + 1  # of the whole part
-    quad_text = shortest._digit_text()[0]
-    quads = np.empty((4, values.size), dtype=np.int64)
-    shortest._quads(hundredths.view(np.int64), quads)
-    *quads, last = quads
-    # sign, 16 places of 100 |v| with '.' before the last two, separator, two spare bytes
-    text = np.empty((values.size, 21), dtype=np.uint8)
-    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    places = text[:, 1:13].view("<u4")
-    for j, quad in enumerate(quads):
-        places[:, j] = quad_text.take(quad)
-    text[:, 13:].view("<u8")[:, 0] = _last_places().take(last)
-    text[1::2, 18] = ord(" ")
-    text[:, 1:15] *= np.arange(14) >= 14 - digits[:, None]
-    out = text.tobytes().translate(None, b"\0").decode("ascii")[:-1]
-    if bad.any():
-        parts = re.split("[, ]", out)
-        for i in np.flatnonzero(bad):
-            parts[i] = format(values[i], ".2f")
-        out = " ".join(map(",".join, zip(parts[0::2], parts[1::2])))
-    return out
-
-
-def _polyline(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
-    stride = max(1, int(np.ceil(ts.size / limit)))
-    idx = np.arange(0, ts.size, stride)
-    if idx[-1] != ts.size - 1:
-        idx = np.append(idx, ts.size - 1)
+def _polyline(ts, vs, x0, y0, w, h, t_span, v_span):
+    stride = max(1, int(np.ceil(ts.size / 1200)))  # at most 1200 points, and the last
+    idx = np.append(np.arange(0, ts.size - 1, stride), ts.size - 1)
     t_lo, t_hi = t_span
     v_lo, v_hi = v_span
     dv = v_hi - v_lo or 1.0
     dt_ = t_hi - t_lo or 1.0
     px = x0 + (ts[idx] - t_lo) / dt_ * w
     py = y0 + h - (vs[idx] - v_lo) / dv * h
-    return _points(px, py)
+    return shortest.points_text(px, py)
 
 
 def write_svg(fh, tr: Trajectory) -> None:
     """Static three-panel figure: state estimates, estimation error, control."""
-    panels = []
     n = tr.x.shape[1]
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     series_sets = [

@@ -103,11 +103,11 @@ def cut(text: str, limit: int = 200) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def echo(value, limit: int = 80) -> str:
-    """``repr(value)`` for an error message, of at most ``limit`` characters:
+def echo(value) -> str:
+    """``repr(value)`` for an error message, of at most 80 characters:
     ``reprlib`` shortens long strings and sequences and deep nesting, and
     ``cut`` the rest."""
-    return cut(reprlib.repr(value), limit)
+    return cut(reprlib.repr(value), 80)
 
 
 def _finite(values, convert, what: str) -> tuple:

@@ -1,4 +1,5 @@
-"""Shortest round-trip decimal text of doubles, a whole array at a time.
+"""Decimal text of doubles, a whole array at a time: the shortest that
+round-trips, for CSV, and two fixed places, for SVG.
 
 ``csv_blocks(columns, block)`` renders each finite double exactly as
 Python's ``repr(float)`` does, and lays the rows of the columns out as CSV
@@ -38,6 +39,16 @@ that each table lookup writes a contiguous array; one transposing copy
 lays the block's rows out.  Nine uint64 registers are reused as their
 values die, and the words hold the columns of ``g`` until the text is
 written (see ``_Workspace``).
+
+Points.  ``points_text(px, py)`` writes an SVG polyline's points as
+``f"{x:.2f},{y:.2f}"`` does, joined by spaces.  A coordinate v = ±c 2^q
+is rounded as ``format(v, ".2f")`` rounds it: the integer 100 c (below
+2^60) is shifted right by -q, half to even on the exact remainder, and
+the sign bit is written, so -0.0 and tiny negatives read ``-0.00``.  The
+hundredths are written with the digit quads of the CSV, their leading
+zeros zeroed and squeezed out with the rest.  That is exact below
+``FIXED2_LIMIT``; a polyline with a coordinate that is not finite or not
+below it is written by ``format``, point by point.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["csv_blocks", "csv_text"]
+__all__ = ["FIXED2_LIMIT", "csv_blocks", "csv_text", "points_text"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -414,3 +425,50 @@ def csv_text(values) -> str:
     is not finite."""
     values = np.asarray(values, dtype=np.float64)
     return "".join(csv_blocks([values], values.size))
+
+
+FIXED2_LIMIT = 2.0**53 / 100  # below it, 100 |v| rounds to an integer of at most 2^53
+
+
+@cache
+def _last_places():
+    """``dd.dd,`` and two zero bytes for each of 0000..9999, as one
+    little-endian uint64."""
+    text = np.zeros((10_000, 8), dtype=np.uint8)
+    text[:, [0, 1, 3, 4]] = _digit_text()[0].view(np.uint8).reshape(-1, 4)
+    text[:, 2] = ord(".")
+    text[:, 5] = ord(",")
+    text.flags.writeable = False
+    return text.view("<u8").reshape(-1)
+
+
+def points_text(px, py) -> str:
+    """``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the points of the float
+    arrays ``px`` and ``py``; see the module docstring."""
+    values = np.column_stack([px, py]).reshape(-1)
+    if not (np.abs(values) < FIXED2_LIMIT).all():
+        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(values[0::2].tolist(), values[1::2].tolist()))
+    bits = values.view(_U64)
+    exponent = (bits >> _U52) & _EXP_MASK
+    c = bits & _MASK52
+    c = np.where(exponent != 0, c | _U64(2**52), c) * _U64(100)
+    # -q = 1075 - exponent (1074 for subnormals) >= 6 here; from 61 on, 100 c < 2^60 rounds to 0
+    shift = np.minimum(_U64(1075) - np.maximum(exponent, _U1), _U63)
+    hundredths = c >> shift
+    remainder = c - (hundredths << shift)
+    half = _U1 << (shift - _U1)
+    hundredths += (remainder > half) | ((remainder == half) & ((hundredths & _U1) == 1))
+    digits = np.searchsorted(_POW10[3:], hundredths, side="right") + 1  # of the whole part
+    quads = np.empty((4, values.size), dtype=np.int64)
+    _quads(hundredths.view(np.int64), quads)
+    *quads, last = quads
+    # sign, 16 places of 100 |v| with '.' before the last two, separator, two spare bytes
+    text = np.empty((values.size, 21), dtype=np.uint8)
+    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    places = text[:, 1:13].view("<u4")
+    for j, quad in enumerate(quads):
+        places[:, j] = _digit_text()[0].take(quad)
+    text[:, 13:].view("<u8")[:, 0] = _last_places().take(last)
+    text[1::2, 18] = ord(" ")
+    text[:, 1:15] *= np.arange(14) >= 14 - digits[:, None]
+    return text.tobytes().translate(None, b"\0").decode("ascii")[:-1]

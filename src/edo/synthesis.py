@@ -434,13 +434,11 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     return M0, U, col_y, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug
 
 
-def error_system(obs: ObserverRealization, exo: Exosystem):
+def error_system(obs: ObserverRealization):
     """Estimation-error dynamics (A_err, B_err) driven by the residual slope.
 
-    ``A_err`` is a copy of the observer drift; the forcing column is the
-    zero eigenvector of G scaled by ``1 / (Q B_d)``, Q the observer's read-out.
+    ``A_err`` is a copy of the observer drift; the forcing column is
+    e_{n+1}, where the carrier's zero eigenvector enters, scaled by
+    ``1 / Q[0]``, Q = ``obs.d_hat_row[n:]`` the observer's read-out.
     """
-    if obs.v_dim != exo.dim:
-        raise DimensionMismatch(f"observer carrier of size {obs.v_dim} does not fit exosystem dimension {exo.dim}")
-    B_err = np.concatenate([np.zeros(obs.n), exo.B_d]) / float(obs.d_hat_row[obs.n :] @ exo.B_d)
-    return obs.A_hat.copy(), B_err
+    return obs.A_hat.copy(), np.eye(obs.dim)[obs.n] / obs.d_hat_row[obs.n]

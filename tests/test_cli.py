@@ -749,6 +749,28 @@ class TestOutputFiles:
     def test_dev_null_output_exits_0(self, tmp_path):
         self.run_simulate(tmp_path, os.devnull, os.devnull)
 
+    @pytest.mark.parametrize("kind", ["same_path", "hard_link", "symlink", "new_same_path"])
+    def test_one_file_for_two_outputs_exits_2(self, tmp_path, capsys, monkeypatch, kind):
+        out = tmp_path / "x.out"
+        other = {"hard_link": tmp_path / "hard.out", "symlink": tmp_path / "link.out"}.get(kind, out)
+        if kind != "new_same_path":
+            out.write_text("an earlier run\n")
+        if kind == "hard_link":
+            os.link(out, other)
+        if kind == "symlink":
+            other.symlink_to(out)
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        argv = ["simulate", "--config", write_config(tmp_path, base_config()), "--out", str(out), "--svg", str(other)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {out} and {other}: the same file\n"
+        assert calls == []
+        if kind == "new_same_path":
+            assert not out.exists()
+        else:
+            assert out.read_text() == "an earlier run\n"
+
     def test_no_output_is_opened_truncating(self, tmp_path, monkeypatch):
         cfg = json.loads(json.dumps(cli.SCENARIOS["fig1"]))
         cfg["sim"]["t_end"] = 0.05
@@ -784,9 +806,9 @@ class TestOutputFiles:
             assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
 
 
-def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
+def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span):
     """The per-point loop ``cli._polyline`` replaced; it must format alike."""
-    stride = max(1, int(np.ceil(ts.size / limit)))
+    stride = max(1, int(np.ceil(ts.size / 1200)))
     idx = list(range(0, ts.size, stride))
     if idx[-1] != ts.size - 1:
         idx.append(ts.size - 1)
@@ -804,24 +826,24 @@ def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span, limit=1200):
 
 class TestPolyline:
     @pytest.mark.parametrize(
-        "size, limit, constant, zero_span",
+        "size, constant, zero_span",
         [
-            (50, 1200, False, False),  # below the limit: every point
-            (4800, 1200, False, False),  # a multiple of the stride 4: the last point is appended
-            (4801, 1200, False, False),  # one past a multiple: the last point is on the stride
-            (100001, 1200, False, False),
-            (3000, 1200, True, False),  # lo == hi
-            (3000, 1200, False, True),  # zero time span
+            (50, False, False),  # below the limit: every point
+            (4800, False, False),  # a multiple of the stride 4: the last point is appended
+            (4801, False, False),  # one past a multiple: the last point is on the stride
+            (100001, False, False),
+            (3000, True, False),  # lo == hi
+            (3000, False, True),  # zero time span
         ],
         ids=["below_limit", "stride_multiple", "one_past_multiple", "full_preset", "constant", "zero_time_span"],
     )
-    def test_matches_per_point_loop(self, size, limit, constant, zero_span):
+    def test_matches_per_point_loop(self, size, constant, zero_span):
         rng = np.random.default_rng(size)
         ts = np.full(size, 2.5) if zero_span else np.arange(size) * 1e-4
         vs = np.full(size, -3.25) if constant else np.cumsum(rng.standard_normal(size)) * 1e-3
         lo, hi = float(np.min(vs)), float(np.max(vs))
         args = (ts, vs, 45, 30, 330, 225, (float(ts[0]), float(ts[-1])), (lo, hi))
-        assert cli._polyline(*args, limit=limit) == _polyline_reference(*args, limit=limit)
+        assert cli._polyline(*args) == _polyline_reference(*args)
 
     @pytest.mark.parametrize(
         "ts, vs, x0, t_span",
@@ -837,21 +859,6 @@ class TestPolyline:
         # x.125, x.375, x.625 and x.875 round half to even, -0.0 keeps its sign
         args = (ts, vs, x0, 0.0, 1.0, 1.0, t_span, (0.0, 1.0))
         assert cli._polyline(*args) == _polyline_reference(*args)
-
-    def test_points_match_format_over_the_exponent_range(self):
-        # random bit patterns reach every exponent, NaN and inf, so the
-        # format() fallback at and beyond FIXED2_LIMIT runs too
-        rng = np.random.default_rng(253)
-        size = 100_000
-        patterns = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
-        scaled = np.ldexp(rng.random(size) + 1.0, rng.integers(-60, 50, size)) * rng.choice([-1.0, 1.0], size)
-        limit = cli.FIXED2_LIMIT
-        edges = [limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), 5e-324, -5e-324, 0.005, 0.015]
-        values = np.concatenate([patterns, scaled, edges])
-        assert not (np.abs(values) < limit).all() and (np.abs(values) < limit).any()
-        px, py = values[0::2], values[1::2]
-        want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
-        assert cli._points(px, py) == want
 
 
 class TestScenarioAndProbe:

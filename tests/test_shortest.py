@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from edo.shortest import csv_text
+from edo.shortest import FIXED2_LIMIT, csv_text, points_text
 
 
 def formatted(values):
@@ -79,3 +79,21 @@ def test_non_finite_refused(bad):
 def test_rows_without_values_refused():
     with pytest.raises(ValueError, match="without values"):
         csv_text(np.zeros((2, 0)))
+
+
+def test_points_match_format_over_the_exponent_range():
+    # random bit patterns reach every exponent, NaN and inf; the in-range
+    # points are written in numpy, and the whole set by format() point by point
+    rng = np.random.default_rng(253)
+    size = 100_000
+    patterns = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    scaled = np.ldexp(rng.random(size) + 1.0, rng.integers(-60, 50, size)) * rng.choice([-1.0, 1.0], size)
+    limit = FIXED2_LIMIT
+    edges = [limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), 5e-324, -5e-324, 0.005, 0.015]
+    values = np.concatenate([patterns, scaled, edges])
+    px, py = values[0::2], values[1::2]
+    in_range = (np.abs(px) < limit) & (np.abs(py) < limit)
+    assert 0 < in_range.sum() < in_range.size
+    for x, y in ((px[in_range], py[in_range]), (px, py)):
+        want = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), y.tolist()))
+        assert points_text(x, y) == want
