@@ -344,22 +344,23 @@ def _open_outputs(paths):
     before any work is done.  No file is opened with ``O_TRUNC``: on ext4
     (``auto_da_alloc``) a file truncated to zero is flushed on close, and
     the next truncating open waits for the write-back.  If the block
-    raises, the files created here are removed and the others left
-    byte-unchanged, so the block finishes all that can fail before it
-    writes.  Otherwise each regular file is cut at its final length; it
-    keeps its inode, mode and links, and special files such as
-    ``/dev/null`` are never truncated.
+    raises, the files created here are removed (a file created through a
+    dangling symlink, not the link) and the others left byte-unchanged,
+    so the block finishes all that can fail before it writes.  Otherwise
+    each regular file is cut at its final length; it keeps its inode,
+    mode and links, and special files such as ``/dev/null`` are never
+    truncated.
     """
     streams, created, files = [], [], {}
     try:
         for path in paths:
-            new = not os.path.lexists(path)
+            new = not os.path.exists(path)  # false for a dangling symlink: open creates its target
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             except OSError as exc:
                 raise ConfigError(f"cannot write {linalg.cut(path)}: {exc.strerror}") from None
             if new:
-                created.append(path)
+                created.append(os.path.realpath(path))
             streams.append(open(fd, "w", encoding="utf-8", newline=""))
             info = os.fstat(fd)
             key = (info.st_dev, info.st_ino)

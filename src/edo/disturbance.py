@@ -33,7 +33,6 @@ __all__ = [
     "ExpThenHold",
     "Sum",
     "evaluate",
-    "derivative",
     "s_norm",
     "Exosystem",
     "exosystem_from_spectrum",
@@ -195,11 +194,6 @@ def evaluate(s: Signal, t):
     return s.value(t)
 
 
-def derivative(s: Signal, t):
-    """Pointwise derivative (weak derivative for the piecewise variant)."""
-    return s.slope(t)
-
-
 def _terms(s: Signal):
     return s.terms if isinstance(s, Sum) else (s,)
 
@@ -228,13 +222,18 @@ class Exosystem:
     ``spectrum``, the one input, is the built-in zero followed by the
     requested eigenvalues exactly as given (``decompose`` matches a term
     frequency only if it equals one exactly): closed under conjugation,
-    none in the open left half-plane, repeats allowed.  ``g``, derived
-    from it, holds the m free entries of the last row ``[0, g_1, ...,
-    g_m]``: the first column vanishes, the first coordinate vector is an
-    eigenvector for 0, and the characteristic polynomial is ``l^(m+1) -
-    g_m l^m - ... - g_1 l``; a spectrum whose f64 polynomial has more
-    zero roots than it names (an underflow) is refused (Overflow).
-    Matrices are built once, read-only.
+    none in the open left half-plane, repeats allowed.  ``np.poly``
+    expands it, in the given order with the built-in zero last, and
+    decides closure: the polynomial comes back real exactly when each
+    eigenvalue occurs as often as its conjugate; otherwise the first
+    requested one that occurs more often is named (NotConjugateClosed).
+    ``g``, derived from it, holds the m free entries of the last row
+    ``[0, g_1, ..., g_m]``: the first column vanishes, the first
+    coordinate vector is an eigenvector for 0, and the characteristic
+    polynomial is ``l^(m+1) - g_m l^m - ... - g_1 l``; a spectrum whose
+    f64 polynomial does not fit the double range, or has more zero roots
+    than it names (an underflow), is refused (Overflow).  Matrices are
+    built once, read-only.
     """
 
     spectrum: tuple
@@ -249,27 +248,17 @@ class Exosystem:
         for lam in requested:
             if lam.real < 0.0:
                 raise RightHalfPlaneViolation(f"eigenvalue {lam} has negative real part")
-        unmatched = [lam for lam in requested if lam.imag != 0.0]
-        while unmatched:
-            lam = unmatched.pop()
-            try:
-                unmatched.remove(lam.conjugate())
-            except ValueError:
-                raise NotConjugateClosed(f"no conjugate partner for {lam}") from None
-        coeffs = np.array([1.0 + 0.0j])
-        for lam in requested:
-            coeffs = np.convolve(coeffs, np.array([1.0, -lam]))
-        coeffs = np.convolve(coeffs, np.array([1.0, 0.0]))  # built-in zero eigenvalue
+        coeffs = np.poly(requested + [0j])  # real exactly when conjugate-closed
+        if coeffs.dtype.kind == "c":
+            lam = next(lam for lam in requested if requested.count(lam) > requested.count(lam.conjugate()))
+            raise NotConjugateClosed(f"no conjugate partner for {lam}")
         if not np.isfinite(coeffs).all():
             raise Overflow(f"spectrum {linalg.echo(requested)} overflows the exosystem polynomial")
-        scale = max(1.0, np.abs(coeffs).max())
-        if np.abs(coeffs.imag).max() > 1e-9 * scale:
-            raise NotConjugateClosed("expansion left a complex residue")
         # each zero eigenvalue leaves an exact trailing zero; one more is a product that underflowed
-        if coeffs.real[-1 - spectrum.count(0)] == 0.0:
+        if coeffs[-1 - spectrum.count(0)] == 0.0:
             raise Overflow(f"spectrum {linalg.echo(requested)} underflows the exosystem polynomial")
-        # coeffs.real = [1, c_m, ..., c_1, 0]; last row entries are g_j = -c_j
-        g = tuple((-coeffs.real[-2:0:-1] + 0.0).tolist())  # +0.0 kills negative zeros
+        # coeffs = [1, c_m, ..., c_1, 0]; last row entries are g_j = -c_j
+        g = tuple((-coeffs[-2:0:-1] + 0.0).tolist())  # +0.0 kills negative zeros
         object.__setattr__(self, "g", g)
 
     @property

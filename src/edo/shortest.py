@@ -3,9 +3,8 @@ round-trips, for CSV, and two fixed places, for SVG.
 
 ``csv_blocks(columns, block)`` renders each finite double exactly as
 Python's ``repr(float)`` does, and lays the rows of the columns out as CSV
-lines, a block of whole rows at a time; ``csv_text(values)`` is the same
-formatter over the one block of a ``(rows, cols)`` array.  It runs in
-numpy only, on whole blocks.
+lines, a block of whole rows at a time.  It runs in numpy only, on whole
+blocks.
 
 Digits.  Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020; the digit kernel of the JDK's ``DoubleToDecimal``) finds, with
@@ -57,7 +56,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["FIXED2_LIMIT", "csv_blocks", "csv_text", "points_text"]
+__all__ = ["FIXED2_LIMIT", "csv_blocks", "points_text"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -417,14 +416,6 @@ def _blocks(columns, width, rows):
         n = len(part[0])
         np.concatenate(part, axis=1, out=ws.values[: n * width].reshape(n, width))
         yield _format(ws, n * width, width)
-
-
-def csv_text(values) -> str:
-    """The rows of the 2-D float array ``values`` as CSV lines, each value
-    written as ``repr(float)`` writes it; raises ValueError on a value that
-    is not finite."""
-    values = np.asarray(values, dtype=np.float64)
-    return "".join(csv_blocks([values], values.size))
 
 
 FIXED2_LIMIT = 2.0**53 / 100  # below it, 100 |v| rounds to an integer of at most 2^53

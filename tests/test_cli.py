@@ -746,6 +746,22 @@ class TestOutputFiles:
         assert link.is_symlink()
         assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
+    @pytest.mark.parametrize("rc", [3, 0], ids=["failing_config", "good_config"])
+    def test_dangling_symlink_output(self, tmp_path, capsys, rc):
+        target, link = tmp_path / "tgt.csv", tmp_path / "dl.csv"
+        link.symlink_to(target)
+        cfg = base_config()
+        if rc:
+            cfg["gains"]["k"] = [1.0, 2.0]
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(link)]
+        assert cli.main(argv) == rc
+        assert "Traceback" not in capsys.readouterr().err
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        if rc:
+            assert not target.exists()
+        else:
+            assert len(target.read_text().splitlines()) == 1 + 201
+
     def test_dev_null_output_exits_0(self, tmp_path):
         self.run_simulate(tmp_path, os.devnull, os.devnull)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import hypothesis
@@ -17,7 +18,7 @@ from edo import (
     exosystem_from_spectrum,
     s_norm,
 )
-from edo.disturbance import Signal, derivative
+from edo.disturbance import Signal
 from edo.errors import NotConjugateClosed, Overflow, RightHalfPlaneViolation, UnboundedDerivative, UnsupportedVariant
 from edo import cli
 from edo.linalg import companion_from_last_row, eigenvalues
@@ -66,7 +67,7 @@ class TestEvaluate:
         s = Sum((Harmonic(0.7, 3.0, 0.4), Polynomial((1.0, 2.0))))
         for t in (0.0, 0.3, 2.2):
             fd = (evaluate(s, t + 1e-7) - evaluate(s, t - 1e-7)) / 2e-7
-            assert derivative(s, t) == pytest.approx(fd, abs=1e-6)
+            assert s.slope(t) == pytest.approx(fd, abs=1e-6)
 
 
 class TestSum:
@@ -130,7 +131,7 @@ class TestSNorm:
             terms.append(ExpThenHold(rng.uniform(0.0, 2.0)))
         s = Sum(tuple(terms))
         t = np.linspace(0.0, 400.0 * np.pi, 2_000_001)
-        sampled = abs(evaluate(s, 0.0)) + np.abs(derivative(s, t)).max()
+        sampled = abs(evaluate(s, 0.0)) + np.abs(s.slope(t)).max()
         assert s_norm(s) >= sampled * (1.0 - 1e-12)
 
 
@@ -149,8 +150,22 @@ class TestExosystem:
         assert np.array_equal(exo.G[-1], [0.0, -90.25, 0.0])
 
     def test_unpaired_rejected(self):
-        with pytest.raises(NotConjugateClosed):
+        with pytest.raises(NotConjugateClosed, match=r"^no conjugate partner for 10j$"):
             exosystem_from_spectrum([10j])
+
+    @pytest.mark.parametrize(
+        "spectrum, named",
+        [
+            ([10j, 3j, -10j], "3j"),
+            ([1 + 2j, 5.0], "(1+2j)"),
+            ([2j, complex(0.0, -2.0), complex(0.0, -2.0)], "-2j"),  # not 2j, which comes first
+        ],
+        ids=["odd_one_out", "beside_a_real", "one_copy_short"],
+    )
+    def test_unpaired_named(self, spectrum, named):
+        # the eigenvalue that occurs more often than its conjugate is named
+        with pytest.raises(NotConjugateClosed, match=f"^no conjugate partner for {re.escape(named)}$"):
+            exosystem_from_spectrum(spectrum)
 
     def test_left_half_plane_rejected(self):
         with pytest.raises(RightHalfPlaneViolation):

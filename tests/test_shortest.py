@@ -4,13 +4,13 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from edo.shortest import FIXED2_LIMIT, csv_text, points_text
+from edo.shortest import FIXED2_LIMIT, csv_blocks, points_text
 
 
 def formatted(values):
-    """``csv_text`` of ``values`` as one column, one string per value."""
+    """The CSV lines of ``values`` as one column, in one block, one string per value."""
     values = np.asarray(values, dtype=np.float64)
-    return csv_text(values.reshape(-1, 1)).split("\n")[:-1]
+    return "".join(csv_blocks([values], values.size)).split("\n")[:-1]
 
 
 def mismatches(values, block=20_000):
@@ -73,12 +73,12 @@ def test_every_layout_row_matches_repr():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_refused(bad):
     with pytest.raises(ValueError, match="not finite"):
-        csv_text(np.array([[1.0, bad]]))
+        csv_blocks([np.array([[1.0, bad]])], 2)
 
 
 def test_rows_without_values_refused():
     with pytest.raises(ValueError, match="without values"):
-        csv_text(np.zeros((2, 0)))
+        csv_blocks([np.zeros((2, 0))], 0)
 
 
 def test_points_match_format_over_the_exponent_range():

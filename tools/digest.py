@@ -28,8 +28,11 @@ no comparison passes over a leaked overflow.  The groups are:
   cut to the bench's 0.5 s (``workloads.preset_config``), the files the
   ``presets`` workload times;
 * ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
-  every term kind against seeded exosystems (the ``repr`` of each result,
-  or the error's class and message).
+  every term kind against seeded exosystems, then the exosystems of 400
+  seeded spectra of 0-3 conjugate pairs (real part 0 or positive, some
+  repeated), 0-2 positive reals and 0-2 zeros in scrambled order, one in
+  ten with an entry dropped (the ``repr`` of each result, or the error's
+  class and message).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from tracer import Tracer  # noqa: E402
 
 SWEEP_SEEDS = (9001, 9002, 9003)  # 100 designs each
 SIGNALS_SEED = 9101
+SPECTRA_SEED = 9102
 
 
 def run_cli(h, argv):
@@ -169,6 +173,20 @@ def signals(work, runs):
                 h.update(repr(fact(d)).encode())
             except EdoError as exc:
                 h.update(f"{type(exc).__name__}: {exc}".encode())
+    rng = np.random.default_rng(SPECTRA_SEED)
+    for _ in range(400):
+        spectrum = []
+        for _ in range(rng.integers(4)):  # 0-3 pairs, on the imaginary axis or right of it, some repeated
+            lam = complex(rng.choice((0.0, rng.uniform(0.1, 3.0))), rng.uniform(0.5, 20.0))
+            spectrum += [lam, lam.conjugate()] * rng.integers(1, 3)
+        spectrum += list(rng.uniform(0.1, 5.0, rng.integers(3))) + [0.0] * rng.integers(3)
+        spectrum = [spectrum[k] for k in rng.permutation(len(spectrum))]
+        if spectrum and rng.integers(10) == 0:  # one in ten loses an entry, often a conjugate partner
+            del spectrum[rng.integers(len(spectrum))]
+        try:
+            h.update(repr(disturbance.exosystem_from_spectrum(spectrum)).encode())
+        except EdoError as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
     return h
 
 
