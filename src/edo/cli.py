@@ -392,7 +392,8 @@ CSV_CHUNK = 8192
 def write_csv(fh, tr: Trajectory) -> None:
     """Header, then one line per grid point; each value is written exactly as
     ``repr(float)`` writes it, the shortest text that reads back as the same
-    double."""
+    double.  ``fh`` is a text stream over a binary ``buffer``, as ``open``
+    returns: the header goes through the stream, the blocks to its buffer."""
     n = tr.x.shape[1]
     v_dim = tr.v_hat.shape[1]
     header = (
@@ -405,19 +406,8 @@ def write_csv(fh, tr: Trajectory) -> None:
     columns = (tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y)
     blocks = shortest.csv_blocks(columns, CSV_CHUNK)  # refuses a value that is not finite before any write
     fh.write(",".join(header) + "\n")
-    fh.writelines(blocks)  # drops each block's text before the next is formatted
-
-
-def _polyline(ts, vs, x0, y0, w, h, t_span, v_span):
-    stride = max(1, int(np.ceil(ts.size / 1200)))  # at most 1200 points, and the last
-    idx = np.append(np.arange(0, ts.size - 1, stride), ts.size - 1)
-    t_lo, t_hi = t_span
-    v_lo, v_hi = v_span
-    dv = v_hi - v_lo or 1.0
-    dt_ = t_hi - t_lo or 1.0
-    px = x0 + (ts[idx] - t_lo) / dt_ * w
-    py = y0 + h - (vs[idx] - v_lo) / dv * h
-    return shortest.points_text(px, py)
+    fh.flush()
+    fh.buffer.writelines(blocks)  # the ASCII bytes as formatted; each block is dropped before the next
 
 
 def write_svg(fh, tr: Trajectory) -> None:
@@ -434,29 +424,38 @@ def write_svg(fh, tr: Trajectory) -> None:
         ("control", [("u", tr.u)]),
     ]
     W, H, pad = 420, 300, 45
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{3 * W}" height="{H}" '
-        f'font-family="monospace" font-size="11">'
-    ]
+    w, h, y0 = W - 2 * pad, H - 75, 30
+    ts = tr.times
+    stride = max(1, int(np.ceil(ts.size / 1200)))  # at most 1200 points, and the last
+    idx = np.append(np.arange(0, ts.size - 1, stride), ts.size - 1)
+    t_lo, t_hi = float(ts[0]), float(ts[-1])
+    across = (ts[idx] - t_lo) / (t_hi - t_lo or 1.0) * w
+    panels, px, py = [], [], []
     for pi, (title, series) in enumerate(series_sets):
         x0 = pi * W + pad
-        y0 = 30
-        w, h = W - 2 * pad, H - 75
         lo = min(float(np.min(vs)) for _, vs in series)
         hi = max(float(np.max(vs)) for _, vs in series)
         if lo == hi:
             lo, hi = lo - 1.0, hi + 1.0
-        t_span = (float(tr.times[0]), float(tr.times[-1]))
+        dv = hi - lo or 1.0
+        panels.append((title, series, x0, lo, hi))
+        px += [x0 + across] * len(series)
+        py += [y0 + h - (vs[idx] - lo) / dv * h for _, vs in series]
+    points = iter(shortest.polylines(np.array(px), np.array(py)))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{3 * W}" height="{H}" '
+        f'font-family="monospace" font-size="11">'
+    ]
+    for title, series, x0, lo, hi in panels:
         parts.append(f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="none" stroke="#444"/>')
         parts.append(f'<text x="{x0}" y="18">{title}</text>')
-        for si, (label, vs) in enumerate(series):
+        for si, (label, _) in enumerate(series):
             color = colors[si % len(colors)]
-            pts = _polyline(tr.times, vs, x0, y0, w, h, t_span, (lo, hi))
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>')
+            parts.append(f'<polyline points="{next(points)}" fill="none" stroke="{color}" stroke-width="1"/>')
             parts.append(
                 f'<text x="{x0 + 6 + 70 * si}" y="{y0 + h + 28}" fill="{color}">{label}</text>'
             )
-        parts.append(f'<text x="{x0}" y="{y0 + h + 14}">t in [{t_span[0]:.6g}, {t_span[1]:.6g}]</text>')
+        parts.append(f'<text x="{x0}" y="{y0 + h + 14}">t in [{t_lo:.6g}, {t_hi:.6g}]</text>')
         parts.append(f'<text x="{x0 + w - 120}" y="{y0 - 12}">range [{lo:.6g}, {hi:.6g}]</text>')
     parts.append("</svg>")
     fh.write("\n".join(parts) + "\n")

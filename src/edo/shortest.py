@@ -3,8 +3,8 @@ round-trips, for CSV, and two fixed places, for SVG.
 
 ``csv_blocks(columns, block)`` renders each finite double exactly as
 Python's ``repr(float)`` does, and lays the rows of the columns out as CSV
-lines, a block of whole rows at a time.  It runs in numpy only, on whole
-blocks.
+lines, a block of whole rows at a time, as ASCII bytes.  It runs in numpy
+only, on whole blocks.
 
 Digits.  Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020; the digit kernel of the JDK's ``DoubleToDecimal``) finds, with
@@ -39,14 +39,22 @@ lays the block's rows out.  Nine uint64 registers are reused as their
 values die, and the words hold the columns of ``g`` until the text is
 written (see ``_Workspace``).
 
-Points.  ``points_text(px, py)`` writes an SVG polyline's points as
-``f"{x:.2f},{y:.2f}"`` does, joined by spaces.  A coordinate v = ±c 2^q
-is rounded as ``format(v, ".2f")`` rounds it: the integer 100 c (below
-2^60) is shifted right by -q, half to even on the exact remainder, and
-the sign bit is written, so -0.0 and tiny negatives read ``-0.00``.  The
-hundredths are written with the digit quads of the CSV, their leading
-zeros zeroed and squeezed out with the rest.  That is exact below
-``FIXED2_LIMIT``; a polyline with a coordinate that is not finite or not
+Points.  ``polylines(px, py)`` writes every SVG polyline of a figure in
+one pass, each as ``f"{x:.2f},{y:.2f}"`` writes its points, joined by
+spaces.  A coordinate v = ±c 2^-s is rounded as ``format(v, ".2f")``
+rounds it: the integer 100 c (below 2^60) is shifted right by s, half to
+even on the exact remainder, so -0.0 and tiny negatives read ``-0.00``.
+Tables indexed by the sign and exponent bits give s and, with one
+comparison of the hundredths, the integer digit count.  Each coordinate
+has one row of two uint64 words, whose four uint32 quarters are table
+lookups: ``-`` and integer places 1..3; places 4..7 and 8..11, from the
+digit quads of the CSV (``_quads`` splits the whole part); ``.``, the two
+decimals and the separator.  One keep-table take zeroes the sign of a
+positive value and the leading zeros.  An x coordinate's row ends in
+``,``, a y coordinate's in a space, a polyline's last in a newline; the
+zeros of the whole figure are squeezed out at once, and the text is split
+per polyline after.  That is exact below
+``FIXED2_LIMIT``; a figure with a coordinate that is not finite or not
 below it is written by ``format``, point by point.
 """
 
@@ -56,7 +64,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["FIXED2_LIMIT", "csv_blocks", "points_text"]
+__all__ = ["FIXED2_LIMIT", "csv_blocks", "polylines"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -263,7 +271,8 @@ def _shortest(ws, n):
 
 
 def _format(ws, n, cols):
-    """The CSV lines of the first ``n`` values of ``ws.values``, ``cols`` to a line."""
+    """The CSV lines of the first ``n`` values of ``ws.values``, ``cols`` to a
+    line, as ASCII bytes."""
     d, index = _shortest(ws, n)
     r0, r1, r2, r3, _, _, r6, r7, bits = ws.regs[:, :n].view(np.int64)
     more, digits = ws.flags[:2, :n]
@@ -301,7 +310,7 @@ def _format(ws, n, cols):
     np.add(key, digits, out=key)
     keep = np.take(_keep_table(), key, axis=1, out=ws.regs[:5, :n], mode="clip")
     np.bitwise_and(text[:5], keep, out=text[:5])
-    return text.T.tobytes().translate(None, b"\0").decode("ascii")
+    return text.T.tobytes().translate(None, b"\0")
 
 
 @cache
@@ -315,14 +324,14 @@ def _digit_text():
 
 
 def _quads(x, out):
-    """Write the four 4-digit groups of the 16 digits of each int64
-    ``0 <= x < 10^16`` into the four int64 arrays of ``out``, most
-    significant first; ``x`` is overwritten."""
-    for quad, place in zip(out, _QUAD_PLACES):
+    """Write the 4-digit groups of each int64 ``0 <= x < 10^(4 len(out))``
+    into the int64 arrays of ``out``, most significant first; ``x`` is
+    overwritten."""
+    for quad, place in zip(out, _QUAD_PLACES[4 - len(out) :]):
         np.floor_divide(x, place, out=quad)
-        np.multiply(quad, place, out=out[3])
-        np.subtract(x, out[3], out=x)
-    np.copyto(out[3], x)
+        np.multiply(quad, place, out=out[-1])
+        np.subtract(x, out[-1], out=x)
+    np.copyto(out[-1], x)
 
 
 @cache
@@ -394,7 +403,7 @@ def _keep_table():
 
 def csv_blocks(columns, block):
     """The CSV lines of the rows of ``columns``, 1-D and 2-D float arrays of
-    one length, as an iterator of strings, each the lines of whole rows of
+    one length, as an iterator of ASCII bytes, each the lines of whole rows of
     at most ``block`` values (one row if a row is longer).  Each value is
     written as ``repr(float)`` writes it.  Raises ValueError, before any
     block, if a value is not finite."""
@@ -418,48 +427,97 @@ def _blocks(columns, width, rows):
         yield _format(ws, n * width, width)
 
 
-FIXED2_LIMIT = 2.0**53 / 100  # below it, 100 |v| rounds to an integer of at most 2^53
+#: Below it, a coordinate written to two places has at most 11 integer
+#: digits, the most an SVG point's row holds: 2^36 < 10^11.
+FIXED2_LIMIT = 2.0**36
+
+#: An SVG point's row: the sign, integer places 1..11, '.', the two
+#: decimals and the separator, in two little-endian uint64 words.
+_POINT_ROW = 16
+_POINT_KEYS = 2 * 11  # (sign, integer digit count); a larger key marks a coordinate out of range
+_U100, _I100 = _U64(100), np.int64(100)
+_IMPLICIT = _U64(2**52)
 
 
 @cache
-def _last_places():
-    """``dd.dd,`` and two zero bytes for each of 0000..9999, as one
-    little-endian uint64."""
-    text = np.zeros((10_000, 8), dtype=np.uint8)
-    text[:, [0, 1, 3, 4]] = _digit_text()[0].view(np.uint8).reshape(-1, 4)
-    text[:, 2] = ord(".")
-    text[:, 5] = ord(",")
-    text.flags.writeable = False
-    return text.view("<u8").reshape(-1)
+def _fixed2_tables():
+    """Tables of the fixed-point rows, the first four indexed by the top 12
+    bits of a double, its sign and biased exponent ``e``.
+
+    For ``v = ±c 2^-s`` with ``c`` its significand, implicit bit set (also
+    for zero and subnormals, which round to 0 all the same): ``s`` (at most
+    63, from which 100 c < 2^60 rounds to 0) and ``2^(s-1) - 1``; then the
+    fewest integer digits ``D`` the rounded ``|v|`` has at ``e``, and the
+    hundredths from which it has ``D + 1``; then the key ``D - 1 + 11 sign``,
+    or ``_POINT_KEYS`` at and above ``FIXED2_LIMIT``, NaN and inf.  Then the
+    row's words: ``-`` and integer places 1..3 for each of 000..999; ``.``,
+    the decimals and ``,`` for each of 00..99; and the keep words of each
+    key, which keep the sign of a negative value and the ``D`` integer places
+    that end at place 11."""
+    top = np.arange(4096)
+    e, sign = top & 0x7FF, top >> 11
+    shift = np.clip(1075 - np.maximum(e, 1), 1, 63)  # 1 only out of range
+    half = (2 ** (shift - 1) - 1).astype(_U64)
+    fewest = _pow2_digits().take(e, mode="clip") + 1
+    wider = 100 * _POW10.take(fewest, mode="clip")
+    key = np.where(e < 1023 + 36, fewest - 1 + 11 * sign, _POINT_KEYS)
+    lead = _digit_text()[0][:1000].view(np.uint8).reshape(-1, 4).copy()
+    lead[:, 0] = ord("-")
+    point = np.zeros((100, 4), dtype=np.uint8)
+    point[:, 0], point[:, 3] = ord("."), ord(",")
+    point[:, 1:3] = _digit_text()[1][:100, 1:]
+    keep = np.zeros((_POINT_KEYS, _POINT_ROW), dtype=np.uint8)
+    for k in range(_POINT_KEYS):
+        keep[k, 0] = 0xFF * (k // 11)
+        keep[k, 11 - k % 11 :] = 0xFF
+    tables = (shift.astype(_U64), half, wider, key.astype(np.int64), lead.view("<u4").reshape(-1),
+              point.view("<u4").reshape(-1), keep.view("<u8"))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def points_text(px, py) -> str:
-    """``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the points of the float
-    arrays ``px`` and ``py``; see the module docstring."""
-    values = np.column_stack([px, py]).reshape(-1)
-    if not (np.abs(values) < FIXED2_LIMIT).all():
-        return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(values[0::2].tolist(), values[1::2].tolist()))
-    bits = values.view(_U64)
-    exponent = (bits >> _U52) & _EXP_MASK
-    c = bits & _MASK52
-    c = np.where(exponent != 0, c | _U64(2**52), c) * _U64(100)
-    # -q = 1075 - exponent (1074 for subnormals) >= 6 here; from 61 on, 100 c < 2^60 rounds to 0
-    shift = np.minimum(_U64(1075) - np.maximum(exponent, _U1), _U63)
-    hundredths = c >> shift
-    remainder = c - (hundredths << shift)
-    half = _U1 << (shift - _U1)
-    hundredths += (remainder > half) | ((remainder == half) & ((hundredths & _U1) == 1))
-    digits = np.searchsorted(_POW10[3:], hundredths, side="right") + 1  # of the whole part
-    quads = np.empty((4, values.size), dtype=np.int64)
-    _quads(hundredths.view(np.int64), quads)
-    *quads, last = quads
-    # sign, 16 places of 100 |v| with '.' before the last two, separator, two spare bytes
-    text = np.empty((values.size, 21), dtype=np.uint8)
-    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    places = text[:, 1:13].view("<u4")
-    for j, quad in enumerate(quads):
-        places[:, j] = _digit_text()[0].take(quad)
-    text[:, 13:].view("<u8")[:, 0] = _last_places().take(last)
-    text[1::2, 18] = ord(" ")
-    text[:, 1:15] *= np.arange(14) >= 14 - digits[:, None]
-    return text.tobytes().translate(None, b"\0").decode("ascii")[:-1]
+def polylines(px, py) -> list:
+    """For each row of the 2-D float array ``py``, with ``px`` broadcast to its
+    shape, ``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the row's points, of which
+    there is at least one; see the module docstring."""
+    points = np.empty(np.shape(py) + (2,))
+    points[..., 0] = px
+    points[..., 1] = py
+    n = points.size
+    bits = points.reshape(-1).view(_U64)
+    shift, half, wider, keys, lead, point, keep = _fixed2_tables()
+    regs = np.empty((6, n), dtype=_U64)
+    r0, r1, r2, r3, r4, r5 = regs
+    top = np.right_shift(bits, _U52, out=r0).view(np.int64)
+    key = np.take(keys, top, out=r1.view(np.int64), mode="clip")
+    if key.max() >= _POINT_KEYS:
+        return [" ".join(f"{x:.2f},{y:.2f}" for x, y in row) for row in points.tolist()]
+    c = np.bitwise_and(bits, _MASK52, out=r2)
+    np.bitwise_or(c, _IMPLICIT, out=c)
+    np.multiply(c, _U100, out=c)
+    # hundredths = 100 c 2^-s, rounded half to even: + 2^(s-1) - 1, + 1 if bit s is set
+    s = np.take(shift, top, out=r3, mode="clip")
+    odd = np.right_shift(c, s, out=r4)
+    np.bitwise_and(odd, _U1, out=odd)
+    np.add(c, odd, out=c)
+    np.add(c, np.take(half, top, out=r4, mode="clip"), out=c)
+    hundredths = np.right_shift(c, s, out=c)
+    wide = np.greater_equal(hundredths, np.take(wider, top, out=r4, mode="clip"), out=r5.view(bool)[:n])
+    np.add(key, wide, out=key)
+    hundredths = hundredths.view(np.int64)
+    whole = np.floor_divide(hundredths, _I100, out=r0.view(np.int64))
+    np.multiply(whole, _I100, out=r3.view(np.int64))
+    decimals = np.subtract(hundredths, r3.view(np.int64), out=hundredths)
+    quads = regs[3:].view(np.int64)
+    _quads(whole, quads)
+    text = np.empty((n, 2), dtype=_U64)
+    words = text.view(np.uint32)
+    for j, (table, index) in enumerate(((lead, quads[0]), (_digit_text()[0], quads[1]),
+                                        (_digit_text()[0], quads[2]), (point, decimals))):
+        np.take(table, index, out=words[:, j], mode="clip")
+    np.bitwise_and(text, np.take(keep, key, axis=0, out=regs[2:4].reshape(n, 2), mode="clip"), out=text)
+    separators = text.view(np.uint8).reshape(len(points), -1, 2 * _POINT_ROW)[:, :, -1]
+    separators[:] = ord(" ")
+    separators[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edo import cli
+from edo import cli, shortest
 from edo.errors import ConfigError
 from edo.sim import Trajectory
 
@@ -289,12 +289,12 @@ class TestSimulateCommand:
             table[-5:] = rng.choice([0.0, -0.0, 1.0, -2.0, 7.0], (5, width))
         tr = Trajectory(times=table[:, 0], x=table[:, 1:3], x_hat=table[:, 3:5], v_hat=table[:, 5:8],
                         d=table[:, 8], d_hat=table[:, 9], u=table[:, 10], y=table[:, 11])
-        buf = io.StringIO()
+        buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
         cli.write_csv(buf, tr)
         # the per-row loop the block writer replaced, as the reference
         expected = "t,x1,x2,xhat1,xhat2,vhat1,vhat2,vhat3,d,dhat,u,y\n"
         expected += "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
-        assert buf.getvalue() == expected
+        assert buf.buffer.getvalue().decode("ascii") == expected
 
     def test_non_finite_value_writes_nothing(self):
         # checked before the header: a file rewritten in place is left unchanged
@@ -303,10 +303,11 @@ class TestSimulateCommand:
         tr = Trajectory(times=ramp, x=np.zeros((rows, 2)), x_hat=np.zeros((rows, 2)), v_hat=np.zeros((rows, 1)),
                         d=ramp.copy(), d_hat=ramp, u=ramp, y=ramp)
         tr.d[-1] = math.nan
-        buf = io.StringIO()
+        buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
         with pytest.raises(ValueError, match="not finite"):
             cli.write_csv(buf, tr)
-        assert buf.getvalue() == ""
+        buf.flush()
+        assert buf.buffer.getvalue() == b""
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -345,15 +346,17 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", write_config(tmp_path, cfg, "cfg2.json"), "--out", str(out_direct)])
         assert out_env.read_bytes() == out_direct.read_bytes()
 
-    def test_negative_seed_env_override_runs(self, tmp_path, monkeypatch):
-        # fig4 is the noisy scenario: EDO_SEED=-5 draws its noise like seed -5
+    @pytest.mark.parametrize("seed", [-5, -(2**63)])
+    def test_negative_seed_env_override_runs(self, tmp_path, monkeypatch, seed):
+        # fig4 is the noisy scenario: EDO_SEED=<seed> draws its noise like that
+        # sim.seed, down to the least 64-bit integer
         cfg = json.loads(json.dumps(cli.SCENARIOS["fig4"]))
         cfg["sim"]["t_end"] = 0.05
         out_env = tmp_path / "env.csv"
-        monkeypatch.setenv("EDO_SEED", "-5")
+        monkeypatch.setenv("EDO_SEED", str(seed))
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out_env)]) == 0
         monkeypatch.delenv("EDO_SEED")
-        cfg["sim"]["seed"] = -5
+        cfg["sim"]["seed"] = seed
         out_direct = tmp_path / "direct.csv"
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg, "cfg2.json"), "--out", str(out_direct)]) == 0
         assert out_env.read_bytes() == out_direct.read_bytes()
@@ -531,6 +534,7 @@ CONFIG_REFUSALS = [
         )
     ],
     pytest.param(("EDO_SEED",), str(2**63), "EDO_SEED does not fit a 64-bit integer", id="edo_seed_range"),
+    pytest.param(("EDO_SEED",), str(-(2**63) - 1), "EDO_SEED does not fit a 64-bit integer", id="edo_seed_below_range"),
     # int() reads each of these as 10; the seed is plain ASCII decimal
     *[
         pytest.param(("EDO_SEED",), raw, f"EDO_SEED is not a decimal integer: {raw!r}", id=f"edo_seed_{name}")
@@ -823,7 +827,7 @@ class TestOutputFiles:
 
 
 def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span):
-    """The per-point loop ``cli._polyline`` replaced; it must format alike."""
+    """The per-point loop the batched polylines replaced; they must format alike."""
     stride = max(1, int(np.ceil(ts.size / 1200)))
     idx = list(range(0, ts.size, stride))
     if idx[-1] != ts.size - 1:
@@ -840,6 +844,33 @@ def _polyline_reference(ts, vs, x0, y0, w, h, t_span, v_span):
     return " ".join(pts)
 
 
+def svg_of(tr):
+    buf = io.StringIO()
+    cli.write_svg(buf, tr)
+    return buf.getvalue()
+
+
+def reference_polylines(tr):
+    """``_polyline_reference`` of each series ``write_svg`` draws, on its panel."""
+    panels = [[*tr.x.T, *tr.x_hat.T], [tr.d - tr.d_hat], [tr.u]]
+    t_span = (float(tr.times[0]), float(tr.times[-1]))
+    want = []
+    for pi, series in enumerate(panels):
+        lo = min(float(np.min(vs)) for vs in series)
+        hi = max(float(np.max(vs)) for vs in series)
+        if lo == hi:
+            lo, hi = lo - 1.0, hi + 1.0
+        want += [_polyline_reference(tr.times, vs, 45 + 420 * pi, 30, 330, 225, t_span, (lo, hi)) for vs in series]
+    return want
+
+
+def trajectory_of(ts, vs, d=None, d_hat=None):
+    """Every series drawn from ``vs``: a constant ``vs`` makes every panel flat."""
+    return Trajectory(times=ts, x=np.column_stack([vs, vs[::-1]]), x_hat=np.column_stack([vs[::-1], vs]),
+                      v_hat=np.zeros((ts.size, 1)), d=2.0 * vs if d is None else d,
+                      d_hat=vs if d_hat is None else d_hat, u=vs[::-1], y=vs)
+
+
 class TestPolyline:
     @pytest.mark.parametrize(
         "size, constant, zero_span",
@@ -854,12 +885,13 @@ class TestPolyline:
         ids=["below_limit", "stride_multiple", "one_past_multiple", "full_preset", "constant", "zero_time_span"],
     )
     def test_matches_per_point_loop(self, size, constant, zero_span):
+        # every polyline of the figure, on its panel's geometry and range
         rng = np.random.default_rng(size)
         ts = np.full(size, 2.5) if zero_span else np.arange(size) * 1e-4
         vs = np.full(size, -3.25) if constant else np.cumsum(rng.standard_normal(size)) * 1e-3
-        lo, hi = float(np.min(vs)), float(np.max(vs))
-        args = (ts, vs, 45, 30, 330, 225, (float(ts[0]), float(ts[-1])), (lo, hi))
-        assert cli._polyline(*args) == _polyline_reference(*args)
+        tr = trajectory_of(ts, vs)
+        got = re.findall(r'<polyline points="([^"]*)"', svg_of(tr))
+        assert got == reference_polylines(tr)
 
     @pytest.mark.parametrize(
         "ts, vs, x0, t_span",
@@ -873,8 +905,37 @@ class TestPolyline:
     def test_matches_per_point_loop_on_exact_coordinates(self, ts, vs, x0, t_span):
         # unit widths and spans leave x = x0 + t and y = 1 - v exact: ties at
         # x.125, x.375, x.625 and x.875 round half to even, -0.0 keeps its sign
-        args = (ts, vs, x0, 0.0, 1.0, 1.0, t_span, (0.0, 1.0))
-        assert cli._polyline(*args) == _polyline_reference(*args)
+        x0, y0, w, h, (t_lo, t_hi), (v_lo, v_hi) = x0, 0.0, 1.0, 1.0, t_span, (0.0, 1.0)
+        px = x0 + (ts - t_lo) / (t_hi - t_lo or 1.0) * w
+        py = y0 + h - (vs - v_lo) / (v_hi - v_lo) * h
+        assert shortest.polylines(px, py[None]) == [_polyline_reference(ts, vs, x0, y0, w, h, t_span, (v_lo, v_hi))]
+
+    def test_non_finite_coordinates_fall_back_to_format(self):
+        # d - dhat spans +-1e308: its range is inf wide, and a point at its top
+        # is inf / inf, NaN; the whole figure is then written by format()
+        ts = np.arange(40) * 0.25
+        half = np.where(np.arange(40) % 3 == 0, 5e307, -5e307)
+        tr = trajectory_of(ts, np.sin(ts), d=half, d_hat=-half)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = re.findall(r'<polyline points="([^"]*)"', svg_of(tr))
+            want = reference_polylines(tr)
+        assert "nan" in got[4] and got == want
+
+    def test_panel_geometry(self):
+        # three 330 x 225 panels 420 apart: title above, time span and labels below, range top right
+        tr = trajectory_of(np.linspace(0.0, 2.0, 5), np.array([0.0, 1.0, -1.0, 0.5, 2.0]))
+        svg = svg_of(tr)
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="1260" height="300" ')
+        titles = ["states and estimates", "disturbance estimation error", "control"]
+        labels = [["x1", "x2", "xhat1", "xhat2"], ["d-dhat"], ["u"]]
+        for x0, title, names in zip((45, 465, 885), titles, labels):
+            assert f'<rect x="{x0}" y="30" width="330" height="225" fill="none" stroke="#444"/>' in svg
+            assert f'<text x="{x0}" y="18">{title}</text>' in svg
+            assert f'<text x="{x0}" y="269">t in [0, 2]</text>' in svg
+            assert f'<text x="{x0 + 330 - 120}" y="18">range [' in svg
+            for si, name in enumerate(names):
+                assert re.search(f'<text x="{x0 + 6 + 70 * si}" y="283" fill="#[0-9a-f]{{6}}">{name}</text>', svg)
+        assert svg.count("<rect ") == 3 and svg.count("<polyline ") == 6
 
 
 class TestScenarioAndProbe:

@@ -4,13 +4,13 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from edo.shortest import FIXED2_LIMIT, csv_blocks, points_text
+from edo.shortest import FIXED2_LIMIT, csv_blocks, polylines
 
 
 def formatted(values):
     """The CSV lines of ``values`` as one column, in one block, one string per value."""
     values = np.asarray(values, dtype=np.float64)
-    return "".join(csv_blocks([values], values.size)).split("\n")[:-1]
+    return b"".join(csv_blocks([values], values.size)).decode("ascii").split("\n")[:-1]
 
 
 def mismatches(values, block=20_000):
@@ -96,4 +96,27 @@ def test_points_match_format_over_the_exponent_range():
     assert 0 < in_range.sum() < in_range.size
     for x, y in ((px[in_range], py[in_range]), (px, py)):
         want = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), y.tolist()))
-        assert points_text(x, y) == want
+        assert polylines(x[None], y[None]) == [want]
+
+
+def test_points_at_every_digit_count_match_format():
+    # each (sign, integer digit count) of the row, and each power of ten that
+    # the rounding to two places carries over, just below and at it
+    powers = 10.0 ** np.arange(-3, 11)
+    values = np.concatenate([powers, powers - 0.005, np.nextafter(powers - 0.005, 0.0), powers - 0.001,
+                             np.nextafter(np.full(3, FIXED2_LIMIT), 0.0) - [0.0, 0.005, 1.0]])
+    values = np.concatenate([values, -values])
+    assert polylines(values[None], values[::-1][None]) == [
+        " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(values.tolist(), values[::-1].tolist()))
+    ]
+
+
+def test_each_row_is_one_polyline():
+    # px is broadcast over the rows of py; the text is split back per row
+    rng = np.random.default_rng(31)
+    px = rng.uniform(0.0, 1260.0, 7)
+    py = rng.uniform(-300.0, 300.0, (4, 7))
+    py[2, 3] = -0.0
+    want = [" ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), row.tolist())) for row in py]
+    assert polylines(px, py) == want
+    assert polylines(px[:1], py[:, :1]) == [f"{px[0]:.2f},{y:.2f}" for y in py[:, 0].tolist()]

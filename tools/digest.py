@@ -26,7 +26,9 @@ no comparison passes over a leaked overflow.  The groups are:
 * ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``;
 * ``simulate``: the stdout, CSV and SVG of ``edo simulate`` on fig1..fig4
   cut to the bench's 0.5 s (``workloads.preset_config``), the files the
-  ``presets`` workload times;
+  ``presets`` workload times; then ``cli.write_svg`` of the two
+  trajectories of ``svg_cases``, which reach the SVG writer's ``format``
+  fallback and its ties;
 * ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
   every term kind against seeded exosystems, then the exosystems of 400
   seeded spectra of 0-3 conjugate pairs (real part 0 or positive, some
@@ -57,6 +59,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
 from edo import cli, disturbance  # noqa: E402
 from edo.errors import EdoError, NonFinite  # noqa: E402
+from edo.sim import Trajectory  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 SWEEP_SEEDS = (9001, 9002, 9003)  # 100 designs each
@@ -134,6 +137,19 @@ def probe(work, runs):
     return h
 
 
+def svg_cases():
+    """Two trajectories that no preset draws: one whose ``d - dhat`` spans
+    +-1e308, so its panel's range is inf wide and some coordinates NaN; one of
+    eighths over power-of-two spans, so that many coordinates are exact
+    binary ties at x.125, x.375, x.625 and x.875."""
+    k = np.arange(1025)
+    eighths = [(k * step % 65) / 8 for step in (37, 11, 7, 29)]  # in [0, 8], both ends reached
+    half = np.where(k % 3 == 0, 5e307, -5e307)
+    for times, d, d_hat in ((k / 32, 2.0 * eighths[2], eighths[2]), (k * 0.25, half, -half)):
+        yield Trajectory(times=times, x=np.column_stack(eighths[:2]), x_hat=np.column_stack(eighths[2:]),
+                         v_hat=np.zeros((k.size, 1)), d=d, d_hat=d_hat, u=eighths[3], y=eighths[0])
+
+
 def simulate(work, runs):
     h = hashlib.sha256()
     for name in workloads.PRESET_NAMES:
@@ -143,6 +159,11 @@ def simulate(work, runs):
         run_cli(h, ["simulate", "--config", stem + ".json", "--out", stem + ".csv", "--svg", stem + ".svg"])
         feed_files(h, work, [f"{name}_cut.csv", f"{name}_cut.svg"])
         runs[f"simulate/{name}"] = workloads.trajectory_columns(cli.run_config(cli.load_config(stem + ".json")))
+    for tr in svg_cases():
+        out = io.StringIO()
+        with np.errstate(over="ignore", invalid="ignore"):  # the inf-wide range
+            cli.write_svg(out, tr)
+        h.update(out.getvalue().encode())
     return h
 
 
