@@ -411,7 +411,11 @@ def write_csv(fh, tr: Trajectory) -> None:
 
 
 def write_svg(fh, tr: Trajectory) -> None:
-    """Static three-panel figure: state estimates, estimation error, control."""
+    """Static three-panel figure: state estimates, estimation error, control.
+    Every point lies in the canvas, x in [45, 1215] and y in [30, 255], when
+    the times ascend and the panels' ranges and the time span are finite; a
+    figure with a point outside it raises ValueError before anything is
+    written."""
     n = tr.x.shape[1]
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     series_sets = [
@@ -522,7 +526,13 @@ def _run_and_emit(cfg: RunConfig, csv_fh, svg_fh=None):
     m = metrics(tr, TAIL_FRACTION)
     write_csv(csv_fh, tr)
     if svg_fh is not None:
-        write_svg(svg_fh, tr)
+        # finite values whose range is wider than the double range make inf
+        # and NaN coordinates, which write_svg refuses
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                write_svg(svg_fh, tr)
+        except ValueError:
+            raise NonFinite("an SVG panel's value range overflows the double range") from None
     return m
 
 

@@ -41,21 +41,18 @@ written (see ``_Workspace``).
 
 Points.  ``polylines(px, py)`` writes every SVG polyline of a figure in
 one pass, each as ``f"{x:.2f},{y:.2f}"`` writes its points, joined by
-spaces.  A coordinate v = ±c 2^-s is rounded as ``format(v, ".2f")``
-rounds it: the integer 100 c (below 2^60) is shifted right by s, half to
-even on the exact remainder, so -0.0 and tiny negatives read ``-0.00``.
-Tables indexed by the sign and exponent bits give s and, with one
-comparison of the hundredths, the integer digit count.  Each coordinate
-has one row of two uint64 words, whose four uint32 quarters are table
-lookups: ``-`` and integer places 1..3; places 4..7 and 8..11, from the
-digit quads of the CSV (``_quads`` splits the whole part); ``.``, the two
-decimals and the separator.  One keep-table take zeroes the sign of a
-positive value and the leading zeros.  An x coordinate's row ends in
-``,``, a y coordinate's in a space, a polyline's last in a newline; the
-zeros of the whole figure are squeezed out at once, and the text is split
-per polyline after.  That is exact below
-``FIXED2_LIMIT``; a figure with a coordinate that is not finite or not
-below it is written by ``format``, point by point.
+spaces.  It takes the coordinates ``write_svg`` draws, all in its canvas:
+``0 <= v < FIXED2_LIMIT``, which one comparison of the top 12 bits checks.
+Any other coordinate (negative, -0.0 included, NaN, inf, or 2^13 or more)
+raises ValueError before any text is made.  A coordinate v = c 2^-s is
+rounded as ``format(v, ".2f")`` rounds it: the integer 100 c (below 2^60)
+is shifted right by s, half to even on the exact remainder, with s from a
+table indexed by the exponent.  Each coordinate has one row of two uint32
+words, both table lookups: the integer part 0..9999, its leading zeros
+zero bytes; ``.``, the two decimals and the separator.  An x coordinate's
+row ends in ``,``, a y coordinate's in a space, a polyline's last in a
+newline; the zeros of the whole figure are squeezed out at once, and the
+text is split per polyline after.
 """
 
 from __future__ import annotations
@@ -324,14 +321,14 @@ def _digit_text():
 
 
 def _quads(x, out):
-    """Write the 4-digit groups of each int64 ``0 <= x < 10^(4 len(out))``
-    into the int64 arrays of ``out``, most significant first; ``x`` is
-    overwritten."""
-    for quad, place in zip(out, _QUAD_PLACES[4 - len(out) :]):
+    """Write the four 4-digit groups of the 16 digits of each int64
+    ``0 <= x < 10^16`` into the four int64 arrays of ``out``, most
+    significant first; ``x`` is overwritten."""
+    for quad, place in zip(out, _QUAD_PLACES):
         np.floor_divide(x, place, out=quad)
-        np.multiply(quad, place, out=out[-1])
-        np.subtract(x, out[-1], out=x)
-    np.copyto(out[-1], x)
+        np.multiply(quad, place, out=out[3])
+        np.subtract(x, out[3], out=x)
+    np.copyto(out[3], x)
 
 
 @cache
@@ -427,51 +424,34 @@ def _blocks(columns, width, rows):
         yield _format(ws, n * width, width)
 
 
-#: Below it, a coordinate written to two places has at most 11 integer
-#: digits, the most an SVG point's row holds: 2^36 < 10^11.
-FIXED2_LIMIT = 2.0**36
-
-#: An SVG point's row: the sign, integer places 1..11, '.', the two
-#: decimals and the separator, in two little-endian uint64 words.
-_POINT_ROW = 16
-_POINT_KEYS = 2 * 11  # (sign, integer digit count); a larger key marks a coordinate out of range
+#: Above every coordinate ``write_svg`` draws, x in [45, 1215] and y in
+#: [30, 255]; below it, a coordinate written to two places has at most four
+#: integer digits, the most an SVG point's row holds.
+FIXED2_LIMIT = 2.0**13
+_TOP_LIMIT = 1023 + 13  # sign and exponent bits of FIXED2_LIMIT; no lower for a double not in [0, it)
 _U100, _I100 = _U64(100), np.int64(100)
 _IMPLICIT = _U64(2**52)
 
 
 @cache
 def _fixed2_tables():
-    """Tables of the fixed-point rows, the first four indexed by the top 12
-    bits of a double, its sign and biased exponent ``e``.
+    """Tables of the fixed-point rows, the first two indexed by the biased
+    exponent ``e`` of a double in [0, FIXED2_LIMIT).
 
-    For ``v = ±c 2^-s`` with ``c`` its significand, implicit bit set (also
-    for zero and subnormals, which round to 0 all the same): ``s`` (at most
-    63, from which 100 c < 2^60 rounds to 0) and ``2^(s-1) - 1``; then the
-    fewest integer digits ``D`` the rounded ``|v|`` has at ``e``, and the
-    hundredths from which it has ``D + 1``; then the key ``D - 1 + 11 sign``,
-    or ``_POINT_KEYS`` at and above ``FIXED2_LIMIT``, NaN and inf.  Then the
-    row's words: ``-`` and integer places 1..3 for each of 000..999; ``.``,
-    the decimals and ``,`` for each of 00..99; and the keep words of each
-    key, which keep the sign of a negative value and the ``D`` integer places
-    that end at place 11."""
-    top = np.arange(4096)
-    e, sign = top & 0x7FF, top >> 11
-    shift = np.clip(1075 - np.maximum(e, 1), 1, 63)  # 1 only out of range
+    For ``v = c 2^-s`` with ``c`` its significand, implicit bit set (also for
+    zero and subnormals, which round to 0 all the same): ``s`` (at most 63,
+    from which 100 c < 2^60 rounds to 0) and ``2^(s-1) - 1``.  Then the row's
+    words: integer places 1..4 of each of 0..9999, its leading zeros zero
+    bytes; and ``.``, the decimals and ``,`` for each of 00..99."""
+    shift = np.minimum(1075 - np.maximum(np.arange(_TOP_LIMIT), 1), 63)
     half = (2 ** (shift - 1) - 1).astype(_U64)
-    fewest = _pow2_digits().take(e, mode="clip") + 1
-    wider = 100 * _POW10.take(fewest, mode="clip")
-    key = np.where(e < 1023 + 36, fewest - 1 + 11 * sign, _POINT_KEYS)
-    lead = _digit_text()[0][:1000].view(np.uint8).reshape(-1, 4).copy()
-    lead[:, 0] = ord("-")
+    whole = _digit_text()[0].view(np.uint8).reshape(-1, 4)
+    whole = whole * (np.arange(10_000)[:, None] >= [1000, 100, 10, 0])
     point = np.zeros((100, 4), dtype=np.uint8)
     point[:, 0], point[:, 3] = ord("."), ord(",")
     point[:, 1:3] = _digit_text()[1][:100, 1:]
-    keep = np.zeros((_POINT_KEYS, _POINT_ROW), dtype=np.uint8)
-    for k in range(_POINT_KEYS):
-        keep[k, 0] = 0xFF * (k // 11)
-        keep[k, 11 - k % 11 :] = 0xFF
-    tables = (shift.astype(_U64), half, wider, key.astype(np.int64), lead.view("<u4").reshape(-1),
-              point.view("<u4").reshape(-1), keep.view("<u8"))
+    tables = (shift.astype(_U64), half, whole.astype(np.uint8).view("<u4").reshape(-1),
+              point.view("<u4").reshape(-1))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -480,44 +460,33 @@ def _fixed2_tables():
 def polylines(px, py) -> list:
     """For each row of the 2-D float array ``py``, with ``px`` broadcast to its
     shape, ``" ".join(f"{x:.2f},{y:.2f}" ...)`` over the row's points, of which
-    there is at least one; see the module docstring."""
+    there is at least one; see the module docstring.  Raises ValueError,
+    before any text is made, if a coordinate is not in [0, FIXED2_LIMIT)."""
     points = np.empty(np.shape(py) + (2,))
     points[..., 0] = px
     points[..., 1] = py
     n = points.size
     bits = points.reshape(-1).view(_U64)
-    shift, half, wider, keys, lead, point, keep = _fixed2_tables()
-    regs = np.empty((6, n), dtype=_U64)
-    r0, r1, r2, r3, r4, r5 = regs
+    shift, half, whole_text, point_text = _fixed2_tables()
+    r0, r1, r2, r3 = np.empty((4, n), dtype=_U64)
     top = np.right_shift(bits, _U52, out=r0).view(np.int64)
-    key = np.take(keys, top, out=r1.view(np.int64), mode="clip")
-    if key.max() >= _POINT_KEYS:
-        return [" ".join(f"{x:.2f},{y:.2f}" for x, y in row) for row in points.tolist()]
-    c = np.bitwise_and(bits, _MASK52, out=r2)
+    if top.max() >= _TOP_LIMIT:
+        raise ValueError(f"cannot write a coordinate outside [0, {FIXED2_LIMIT:g})")
+    c = np.bitwise_and(bits, _MASK52, out=r1)
     np.bitwise_or(c, _IMPLICIT, out=c)
     np.multiply(c, _U100, out=c)
     # hundredths = 100 c 2^-s, rounded half to even: + 2^(s-1) - 1, + 1 if bit s is set
-    s = np.take(shift, top, out=r3, mode="clip")
-    odd = np.right_shift(c, s, out=r4)
+    s = np.take(shift, top, out=r2, mode="clip")
+    odd = np.right_shift(c, s, out=r3)
     np.bitwise_and(odd, _U1, out=odd)
     np.add(c, odd, out=c)
-    np.add(c, np.take(half, top, out=r4, mode="clip"), out=c)
-    hundredths = np.right_shift(c, s, out=c)
-    wide = np.greater_equal(hundredths, np.take(wider, top, out=r4, mode="clip"), out=r5.view(bool)[:n])
-    np.add(key, wide, out=key)
-    hundredths = hundredths.view(np.int64)
-    whole = np.floor_divide(hundredths, _I100, out=r0.view(np.int64))
-    np.multiply(whole, _I100, out=r3.view(np.int64))
-    decimals = np.subtract(hundredths, r3.view(np.int64), out=hundredths)
-    quads = regs[3:].view(np.int64)
-    _quads(whole, quads)
-    text = np.empty((n, 2), dtype=_U64)
-    words = text.view(np.uint32)
-    for j, (table, index) in enumerate(((lead, quads[0]), (_digit_text()[0], quads[1]),
-                                        (_digit_text()[0], quads[2]), (point, decimals))):
-        np.take(table, index, out=words[:, j], mode="clip")
-    np.bitwise_and(text, np.take(keep, key, axis=0, out=regs[2:4].reshape(n, 2), mode="clip"), out=text)
-    separators = text.view(np.uint8).reshape(len(points), -1, 2 * _POINT_ROW)[:, :, -1]
+    np.add(c, np.take(half, top, out=r3, mode="clip"), out=c)
+    hundredths = np.right_shift(c, s, out=c).view(np.int64)
+    whole, decimals = np.divmod(hundredths, _I100, out=(r0.view(np.int64), r2.view(np.int64)))
+    text = np.empty((n, 2), dtype=np.uint32)
+    np.take(whole_text, whole, out=text[:, 0], mode="clip")
+    np.take(point_text, decimals, out=text[:, 1], mode="clip")
+    separators = text.view(np.uint8).reshape(len(points), -1, 16)[:, :, -1]  # a point's two rows
     separators[:] = ord(" ")
     separators[:, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]

@@ -427,6 +427,22 @@ class TestSimulateCommand:
         assert re.fullmatch(r"divergence: state magnitude exceeded 1e\+12 at t=[0-9.]+\n", captured.err)
         assert not out.exists()
 
+    def test_figure_wider_than_the_double_range_exits_4_without_warnings(self, tmp_path, capsys):
+        # d swings +-1e308 between steps of 1e-300 s, too fast to drive the
+        # state past the guard; d - dhat spans more than the double range
+        cfg = base_config()
+        cfg["disturbance"]["terms"] = [{"type": "harmonic", "amplitude": 1e308, "frequency": 1e300, "phase": 1.0}]
+        cfg["sim"].update(t_end=2e-298, dt=1e-300)
+        out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out), "--svg", str(svg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "divergence: an SVG panel's value range overflows the double range\n"
+        assert not out.exists() and not svg.exists()
+
     @pytest.mark.parametrize("ramp", [True, False], ids=["ramp", "no_ramp"])
     def test_subnormal_step_runs(self, tmp_path, ramp):
         # every basis term underflows, and so would dt / 2
@@ -893,33 +909,56 @@ class TestPolyline:
         got = re.findall(r'<polyline points="([^"]*)"', svg_of(tr))
         assert got == reference_polylines(tr)
 
+    @pytest.mark.parametrize("case", ["huge_span", "subnormal", "constant_1e17", "constant_1", "zero_time_span"])
+    @pytest.mark.parametrize("size", [1, 1200, 1201, 2401])
+    def test_every_point_lies_in_the_canvas(self, case, size):
+        # the invariant polylines relies on: whenever the panel ranges and
+        # the time span are finite, x is in [45, 1215] and y in [30, 255]
+        rng = np.random.default_rng(size)
+        ts = np.full(size, 2.5) if case == "zero_time_span" else np.arange(size) * 0.01
+        d = d_hat = None
+        if case == "huge_span":  # hi - lo = 1.6e308, still finite
+            vs = rng.uniform(-8e307, 8e307, size)
+            vs[[0, -1]] = -8e307, 8e307
+            d, d_hat = vs, np.zeros(size)
+        elif case == "subnormal":
+            vs = rng.integers(-1000, 1000, size) * 5e-324
+        elif case.startswith("constant"):  # lo == hi; at 1e17, lo - 1 == hi + 1 and dv falls back to 1
+            vs = np.full(size, 1e17 if case == "constant_1e17" else 1.0)
+        else:
+            vs = np.cumsum(rng.standard_normal(size))
+        tr = trajectory_of(ts, vs, d=d, d_hat=d_hat)
+        got = re.findall(r'<polyline points="([^"]*)"', svg_of(tr))
+        assert got == reference_polylines(tr)
+        points = np.array([point.split(",") for line in got for point in line.split(" ")], dtype=float)
+        assert ((points >= [45.0, 30.0]) & (points <= [1215.0, 255.0])).all()
+
     @pytest.mark.parametrize(
-        "ts, vs, x0, t_span",
+        "ts, vs, t_span",
         [
-            (np.arange(-40, 41) / 8, np.arange(81) / 8, 0.0, (0.0, 1.0)),
-            (np.array([-0.0, -5e-324, -1e-300, -0.004, -0.005, -0.0050000001, 0.0]), np.zeros(7), -0.0, (0.0, 1.0)),
-            (np.array([2.5]), np.array([-3.25]), 45.0, (2.5, 2.5)),
+            (np.arange(-40, 41) / 8, np.arange(81) / 8, (0.0, 1.0)),
+            (np.array([2.5]), np.array([-3.25]), (2.5, 2.5)),
         ],
-        ids=["binary_ties", "tiny_negatives", "one_point"],
+        ids=["binary_ties", "one_point"],
     )
-    def test_matches_per_point_loop_on_exact_coordinates(self, ts, vs, x0, t_span):
-        # unit widths and spans leave x = x0 + t and y = 1 - v exact: ties at
-        # x.125, x.375, x.625 and x.875 round half to even, -0.0 keeps its sign
-        x0, y0, w, h, (t_lo, t_hi), (v_lo, v_hi) = x0, 0.0, 1.0, 1.0, t_span, (0.0, 1.0)
+    def test_matches_per_point_loop_on_exact_coordinates(self, ts, vs, t_span):
+        # unit widths and spans from the canvas origin leave x = 45 + t and
+        # y = 31 - v exact: ties at x.125, x.375, x.625 and x.875 round half to even
+        x0, y0, w, h, (t_lo, t_hi), (v_lo, v_hi) = 45.0, 30.0, 1.0, 1.0, t_span, (0.0, 1.0)
         px = x0 + (ts - t_lo) / (t_hi - t_lo or 1.0) * w
         py = y0 + h - (vs - v_lo) / (v_hi - v_lo) * h
         assert shortest.polylines(px, py[None]) == [_polyline_reference(ts, vs, x0, y0, w, h, t_span, (v_lo, v_hi))]
 
-    def test_non_finite_coordinates_fall_back_to_format(self):
+    def test_overflowing_panel_range_is_refused(self):
         # d - dhat spans +-1e308: its range is inf wide, and a point at its top
-        # is inf / inf, NaN; the whole figure is then written by format()
+        # is inf / inf, NaN; the figure is refused and nothing is written
         ts = np.arange(40) * 0.25
         half = np.where(np.arange(40) % 3 == 0, 5e307, -5e307)
         tr = trajectory_of(ts, np.sin(ts), d=half, d_hat=-half)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = re.findall(r'<polyline points="([^"]*)"', svg_of(tr))
-            want = reference_polylines(tr)
-        assert "nan" in got[4] and got == want
+        buf = io.StringIO()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="outside"):
+            cli.write_svg(buf, tr)
+        assert buf.getvalue() == ""
 
     def test_panel_geometry(self):
         # three 330 x 225 panels 420 apart: title above, time span and labels below, range top right

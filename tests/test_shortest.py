@@ -82,41 +82,58 @@ def test_rows_without_values_refused():
 
 
 def test_points_match_format_over_the_exponent_range():
-    # random bit patterns reach every exponent, NaN and inf; the in-range
-    # points are written in numpy, and the whole set by format() point by point
+    # random bit patterns reach every exponent, NaN and inf; the pairs in the
+    # domain [0, FIXED2_LIMIT) are written as format() writes them, and a set
+    # with any coordinate outside it is refused
     rng = np.random.default_rng(253)
     size = 100_000
     patterns = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
     scaled = np.ldexp(rng.random(size) + 1.0, rng.integers(-60, 50, size)) * rng.choice([-1.0, 1.0], size)
     limit = FIXED2_LIMIT
-    edges = [limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0), 5e-324, -5e-324, 0.005, 0.015]
+    below = np.nextafter(limit, 0.0)
+    edges = [limit, -limit, below, 5e-324, -below, -5e-324, 0.005, 0.015]
     values = np.concatenate([patterns, scaled, edges])
     px, py = values[0::2], values[1::2]
-    in_range = (np.abs(px) < limit) & (np.abs(py) < limit)
-    assert 0 < in_range.sum() < in_range.size
-    for x, y in ((px[in_range], py[in_range]), (px, py)):
-        want = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), y.tolist()))
-        assert polylines(x[None], y[None]) == [want]
+    in_domain = ~np.signbit(px) & ~np.signbit(py) & (px < limit) & (py < limit)  # NaN is not below it
+    assert 0 < in_domain.sum() < in_domain.size
+    x, y = px[in_domain], py[in_domain]
+    assert polylines(x[None], y[None]) == [" ".join(f"{a:.2f},{b:.2f}" for a, b in zip(x.tolist(), y.tolist()))]
+    with pytest.raises(ValueError, match="outside"):
+        polylines(px[None], py[None])
 
 
 def test_points_at_every_digit_count_match_format():
-    # each (sign, integer digit count) of the row, and each power of ten that
-    # the rounding to two places carries over, just below and at it
-    powers = 10.0 ** np.arange(-3, 11)
-    values = np.concatenate([powers, powers - 0.005, np.nextafter(powers - 0.005, 0.0), powers - 0.001,
+    # 1-4 integer digits, each power of ten that the rounding to two places
+    # carries over (0.995, 9.995, 99.995, 999.995), just below and at it, and
+    # the largest values of the domain
+    powers = 10.0 ** np.arange(-2, 4)
+    values = np.concatenate([[0.0, 0.001], powers, powers - 0.005, np.nextafter(powers - 0.005, 0.0), powers - 0.001,
                              np.nextafter(np.full(3, FIXED2_LIMIT), 0.0) - [0.0, 0.005, 1.0]])
-    values = np.concatenate([values, -values])
     assert polylines(values[None], values[::-1][None]) == [
         " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(values.tolist(), values[::-1].tolist()))
     ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-0.0, -5e-324, -1e-300, -0.001, -0.004, -0.995, -999.995, -np.nextafter(FIXED2_LIMIT, 0.0), FIXED2_LIMIT,
+     9999.995, 1e4, 1e10, 2.0**36, np.inf, -np.inf, np.nan],
+)
+def test_points_outside_the_domain_are_refused(bad):
+    # one coordinate outside [0, FIXED2_LIMIT), as x or as y, refuses the
+    # figure; format() would write the tiny negatives as "-0.00"
+    good, spoiled = np.array([0.0, 1.5, 8191.5]), np.array([0.0, bad, 8191.5])
+    for px, py in ((spoiled, good), (good, spoiled)):
+        with pytest.raises(ValueError, match="outside"):
+            polylines(px, py[None])
 
 
 def test_each_row_is_one_polyline():
     # px is broadcast over the rows of py; the text is split back per row
     rng = np.random.default_rng(31)
     px = rng.uniform(0.0, 1260.0, 7)
-    py = rng.uniform(-300.0, 300.0, (4, 7))
-    py[2, 3] = -0.0
+    py = rng.uniform(0.0, 300.0, (4, 7))
+    py[2, 3] = 0.0
     want = [" ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), row.tolist())) for row in py]
     assert polylines(px, py) == want
     assert polylines(px[:1], py[:, :1]) == [f"{px[0]:.2f},{y:.2f}" for y in py[:, 0].tolist()]

@@ -13,6 +13,9 @@ it, ``inf`` if trip messages or run lengths differ; the ``sim_grid`` cases
 that trip the divergence guard are printed with their message.
 ``python tools/digest.py ROOT OUT`` is the child, which writes the digests
 and trajectories of checkout ``ROOT`` to the ``.npz`` file ``OUT``.
+The first line printed names the core type of numpy's bundled OpenBLAS,
+whose kernel the trajectories' BLAS calls run, or ``unknown``: the digests
+are byte-identical only on one kernel and thread count.
 ``EDO_SEED`` is ignored, so that the digests are those of the configured
 seeds, and a numpy ``RuntimeWarning`` is an error, as in the tests, so that
 no comparison passes over a leaked overflow.  The groups are:
@@ -26,9 +29,11 @@ no comparison passes over a leaked overflow.  The groups are:
 * ``probe``: the stdout of ``edo probe --omega 1,10,100,1000``;
 * ``simulate``: the stdout, CSV and SVG of ``edo simulate`` on fig1..fig4
   cut to the bench's 0.5 s (``workloads.preset_config``), the files the
-  ``presets`` workload times; then ``cli.write_svg`` of the two
-  trajectories of ``svg_cases``, which reach the SVG writer's ``format``
-  fallback and its ties;
+  ``presets`` workload times; then ``cli.write_svg`` of the ties
+  trajectory of ``svg_cases``, whose coordinates are exact two-place ties;
+* ``overflow``: ``cli.write_svg`` of the overflow trajectory of
+  ``svg_cases``, whose panel range is inf wide: the SVG, or the class and
+  message of the error that refuses it;
 * ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
   every term kind against seeded exosystems, then the exosystems of 400
   seeded spectra of 0-3 conjugate pairs (real part 0 or positive, some
@@ -40,6 +45,8 @@ no comparison passes over a leaked overflow.  The groups are:
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -138,16 +145,16 @@ def probe(work, runs):
 
 
 def svg_cases():
-    """Two trajectories that no preset draws: one whose ``d - dhat`` spans
-    +-1e308, so its panel's range is inf wide and some coordinates NaN; one of
-    eighths over power-of-two spans, so that many coordinates are exact
-    binary ties at x.125, x.375, x.625 and x.875."""
+    """Two trajectories that no preset draws: ties, of eighths over
+    power-of-two spans, so that many coordinates are exact binary ties at
+    x.125, x.375, x.625 and x.875; and overflow, whose ``d - dhat`` spans
+    +-1e308, so its panel's range is inf wide and some coordinates NaN."""
     k = np.arange(1025)
     eighths = [(k * step % 65) / 8 for step in (37, 11, 7, 29)]  # in [0, 8], both ends reached
     half = np.where(k % 3 == 0, 5e307, -5e307)
-    for times, d, d_hat in ((k / 32, 2.0 * eighths[2], eighths[2]), (k * 0.25, half, -half)):
-        yield Trajectory(times=times, x=np.column_stack(eighths[:2]), x_hat=np.column_stack(eighths[2:]),
-                         v_hat=np.zeros((k.size, 1)), d=d, d_hat=d_hat, u=eighths[3], y=eighths[0])
+    return [Trajectory(times=times, x=np.column_stack(eighths[:2]), x_hat=np.column_stack(eighths[2:]),
+                       v_hat=np.zeros((k.size, 1)), d=d, d_hat=d_hat, u=eighths[3], y=eighths[0])
+            for times, d, d_hat in ((k / 32, 2.0 * eighths[2], eighths[2]), (k * 0.25, half, -half))]
 
 
 def simulate(work, runs):
@@ -159,11 +166,21 @@ def simulate(work, runs):
         run_cli(h, ["simulate", "--config", stem + ".json", "--out", stem + ".csv", "--svg", stem + ".svg"])
         feed_files(h, work, [f"{name}_cut.csv", f"{name}_cut.svg"])
         runs[f"simulate/{name}"] = workloads.trajectory_columns(cli.run_config(cli.load_config(stem + ".json")))
-    for tr in svg_cases():
-        out = io.StringIO()
+    out = io.StringIO()
+    cli.write_svg(out, svg_cases()[0])
+    h.update(out.getvalue().encode())
+    return h
+
+
+def overflow(work, runs):
+    h = hashlib.sha256()
+    out = io.StringIO()
+    try:
         with np.errstate(over="ignore", invalid="ignore"):  # the inf-wide range
-            cli.write_svg(out, tr)
+            cli.write_svg(out, svg_cases()[1])
         h.update(out.getvalue().encode())
+    except ValueError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
     return h
 
 
@@ -211,7 +228,18 @@ def signals(work, runs):
     return h
 
 
-GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate, signals)
+GROUPS = (scenarios, design, sweep, sim_grid, probe, simulate, overflow, signals)
+
+
+def blas_core():
+    """The core type of numpy's bundled OpenBLAS, or ``unknown``."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def digests(runs):
@@ -257,6 +285,8 @@ def compare(parent):
 if __name__ == "__main__":
     os.environ.pop("EDO_SEED", None)  # would override the configured noise seeds; the children inherit this
     warnings.simplefilter("error", RuntimeWarning)
+    if len(sys.argv) < 3:
+        print(f"openblas   {blas_core()}", flush=True)
     if len(sys.argv) == 1:
         for name, digest in digests({}):
             print(f"{name:10s} {digest}", flush=True)
