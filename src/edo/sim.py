@@ -68,6 +68,9 @@ __all__ = [
 #: Any state component beyond this magnitude is treated as divergence.
 DIVERGENCE_GUARD = 1e12
 
+#: ``metrics`` scores the last fifth of the horizon.
+TAIL_FRACTION = 0.2
+
 INTEGRATORS = ("rk4", "euler")
 
 #: Doubles of step maps a block holds at most.  Fixed, not derived from the
@@ -149,9 +152,10 @@ def simulate(
     records (``rs`` must be the regulator solution ``obs`` was assembled
     from, ValueError otherwise); without a feedback gain it is
     identically zero (observer-only run).  A grid too
-    large to allocate raises ``ConfigError``; a state beyond
+    large to allocate raises ``ConfigError``.  A state beyond
     ``DIVERGENCE_GUARD`` (or not finite) raises ``NonFinite`` naming the
-    first such grid time.
+    first such grid time, and then so does a recorded ``d``, ``d_hat``,
+    ``u``, ``y`` or ``d - d_hat`` that is not finite: every value returned is.
     """
     n = p.n
     M0, U, col_y, col_d, F_aug = _loop(p, obs, fb, rs)
@@ -210,11 +214,14 @@ def simulate(
             if bad is not None:
                 raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
 
-    x, z_obs = Z[:, :n], Z[:, n:dim]
-    return Trajectory(
-        times=times, x=x, x_hat=Z[:, n : 2 * n], v_hat=Z[:, 2 * n : dim], d=d_half[::2],
-        d_hat=z_obs @ obs.d_hat_row, u=z_obs @ F_aug, y=ramp_half[::2] * (x @ p.C) + noise,
-    )
+        x, z_obs = Z[:, :n], Z[:, n:dim]
+        d, d_hat, u, y = d_half[::2], z_obs @ obs.d_hat_row, z_obs @ F_aug, ramp_half[::2] * (x @ p.C) + noise
+        # the guard bounds the states only: d_hat and u scale them by gains, and no
+        # step reads y at the last grid point, nor d there under Euler
+        finite = np.isfinite(d - d_hat) & np.isfinite(u) & np.isfinite(y)
+        if not finite.all():
+            raise NonFinite(f"recorded d, dhat, u, y or d - dhat not finite at t={times[finite.argmin()]:.6g}")
+    return Trajectory(times=times, x=x, x_hat=Z[:, n : 2 * n], v_hat=Z[:, 2 * n : dim], d=d, d_hat=d_hat, u=u, y=y)
 
 
 def _block_steps(dim, constant=False):
@@ -338,8 +345,8 @@ class ErrorMetrics:
     peak_abs: float
 
 
-def metrics(tr: Trajectory, tail_fraction: float) -> ErrorMetrics:
-    """Summarize a trajectory over the trailing fraction of the horizon.
+def metrics(tr: Trajectory) -> ErrorMetrics:
+    """Summarize a trajectory over its last ``TAIL_FRACTION`` of the horizon.
 
     The disturbance error is scored against ``tr.d``, the signal of the run.
     ``peak_abs`` is taken over every plant and observer component on the
@@ -347,10 +354,8 @@ def metrics(tr: Trajectory, tail_fraction: float) -> ErrorMetrics:
     """
     if tr.times.size == 0:
         raise EmptyTrajectory("trajectory has no records")
-    if not (0.0 < tail_fraction < 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1)")
     t_end = float(tr.times[-1])
-    t_lo = t_end * (1.0 - tail_fraction)
+    t_lo = t_end * (1.0 - TAIL_FRACTION)
     window = tr.times >= t_lo - 1e-12 * max(1.0, t_end)
     # each row's error is computed alone, so scoring the tail rows only gives the same values
     dist_err = np.abs(tr.d[window] - tr.d_hat[window])

@@ -128,7 +128,7 @@ def test_criterion_2_bandwidth_scaling():
         cfg_dict["gains"]["omega_o"] = omega_o
         cfg = cli.parse_config(cfg_dict)
         tr = cli.run_config(cfg)
-        tails[omega_o] = metrics(tr, cli.TAIL_FRACTION).tail_max_dist_err
+        tails[omega_o] = metrics(tr).tail_max_dist_err
     ratio = tails[high] / tails[low]
     ok = 0.3 <= ratio <= 0.7
     report(

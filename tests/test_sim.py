@@ -12,6 +12,7 @@ from edo import (
     GainBase,
     GeneralPlant,
     Harmonic,
+    Polynomial,
     SimConfig,
     Sum,
     canonical_plant,
@@ -149,7 +150,7 @@ class TestMetrics:
         x0 = np.array([0.1, 0.2])
         v0 = carrier_initial_state(Constant(10.0), exo, rs.Q)
         tr = simulate(p, obs, fb, rs, Constant(10.0), SimConfig(4.0, 1e-3), x0, np.concatenate([x0, v0]))
-        m = metrics(tr, 0.2)
+        m = metrics(tr)
         assert m.tail_max_state_err < 1e-9
         assert m.tail_max_dist_err < 1e-9
 
@@ -161,7 +162,7 @@ class TestMetrics:
             times=tr.times, x=tr.x, x_hat=tr.x, v_hat=tr.v_hat,
             d=tr.d, d_hat=np.zeros_like(tr.d_hat), u=tr.u, y=tr.y,
         )
-        m = metrics(fake, 0.2)
+        m = metrics(fake)
         assert m.tail_max_dist_err == 10.0
         assert m.tail_max_state_err == 0.0
 
@@ -173,7 +174,7 @@ class TestMetrics:
             d=tr.d[:0], d_hat=tr.d_hat[:0], u=tr.u[:0], y=tr.y[:0],
         )
         with pytest.raises(EmptyTrajectory):
-            metrics(empty, 0.2)
+            metrics(empty)
 
 
 class TestSteadyStateAgainstFrequencyOracle:
@@ -191,7 +192,7 @@ class TestSteadyStateAgainstFrequencyOracle:
         p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), omega_o, omega_c=10.0)
         cfg = SimConfig(t_end=10.0, dt=1e-3, output_ramp=True)
         tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, [0.0, 1.0], np.zeros(3))
-        m = metrics(tr, 0.2)
+        m = metrics(tr)
         oracle = steady_dist_err_amplitude(obs, 10.0, 10.0)
         return m.tail_max_dist_err, oracle
 
@@ -215,7 +216,7 @@ class TestExactModelBehaviour:
         init_err = float(np.linalg.norm(np.concatenate([x0, v0])))
         t_end = 40.0 / sg.omega_o
         tr = simulate(p, obs, fb, rs, d, SimConfig(t_end, 1e-3), x0, np.zeros(3))
-        m = metrics(tr, 0.2)
+        m = metrics(tr)
         assert m.tail_max_state_err < 1e-6 * init_err
         assert m.tail_max_dist_err < 1e-6 * init_err
 
@@ -709,6 +710,13 @@ def short_run(x0=(0.0, 1.0), obs0=(0.0, 0.0, 0.0)):
     return simulate(p, obs, fb, rs, Constant(0.0), SimConfig(0.1, 0.01), x0, obs0)
 
 
+def recorded_overflow_run(d=SINE_PLUS_TEN, t_end=1e-300, omega_c=10.0, noise_std=0.0, seed=0, obs0=(0.0, 0.0, 0.0)):
+    """One short Euler run whose states stay under the guard."""
+    p, exo, sg, rs, obs, fb = make_design([2.0, 1.0], [], (-1.0,), 10.0, omega_c)
+    cfg = SimConfig(t_end, t_end, "euler", noise_std=noise_std, seed=seed)
+    return simulate(p, obs, fb, rs, d, cfg, (0.0, 0.0), obs0)
+
+
 def probe(t_grid):
     return high_gain_probe(GainBase(k=(-1.0, -2.0), p=(-1.0,)), canonical_plant([0.0, 0.0]), [5.0], t_grid)
 
@@ -724,8 +732,14 @@ REFUSALS = {
     "ramp_not_bool": (lambda: SimConfig(1.0, 0.1, output_ramp="no"), ValueError, "output_ramp must be a boolean"),
     "x0_size": (lambda: short_run(x0=[0.0]), DimensionMismatch, "initial states do not match"),
     "observer0_size": (lambda: short_run(obs0=np.zeros(4)), DimensionMismatch, "initial states"),
-    "tail_fraction_zero": (lambda: metrics(short_run(), 0.0), ValueError, "tail_fraction must lie in"),
-    "tail_fraction_one": (lambda: metrics(short_run(), 1.0), ValueError, "tail_fraction must lie in"),
+    # F = (-2e149, -1e298) times xhat = 1e11 makes u(0) = -inf while the state stays at 1e9
+    "control_overflows": (lambda: recorded_overflow_run(omega_c=1e149, obs0=(1e11, 1e11, 0.0)), NonFinite,
+                          "not finite at t=0$"),
+    # Euler reads no sample at the last grid point: d(2) = 4e308 and the noise of seed 55 there overflow
+    "last_d_overflows": (lambda: recorded_overflow_run(d=Polynomial((0.0, 0.0, 1e308)), t_end=2.0), NonFinite,
+                         "not finite at t=2$"),
+    "last_y_overflows": (lambda: recorded_overflow_run(noise_std=1e308, seed=55), NonFinite,
+                         "not finite at t=1e-300$"),
     "probe_grid_empty": (lambda: probe([]), ValueError, "t_grid must be a nonempty 1-D"),
     "probe_grid_2d": (lambda: probe([[0.0, 0.5], [1.0, 1.5]]), ValueError, "t_grid must be a nonempty 1-D"),
     "probe_grid_scalar": (lambda: probe(1.0), ValueError, "t_grid must be a nonempty 1-D"),

@@ -32,8 +32,9 @@ no comparison passes over a leaked overflow.  The groups are:
   ``presets`` workload times; then ``cli.write_svg`` of the ties
   trajectory of ``svg_cases``, whose coordinates are exact two-place ties;
 * ``overflow``: ``cli.write_svg`` of the overflow trajectory of
-  ``svg_cases``, whose panel range is inf wide: the SVG, or the class and
-  message of the error that refuses it;
+  ``svg_cases``, whose panel range is inf wide: the SVG, which this
+  checkout draws from halved values, or the class and message of the
+  error with which a parent checkout may refuse it;
 * ``signals``: ``s_norm`` and ``decompose`` of 400 seeded term sums over
   every term kind against seeded exosystems, then the exosystems of 400
   seeded spectra of 0-3 conjugate pairs (real part 0 or positive, some
@@ -148,7 +149,8 @@ def svg_cases():
     """Two trajectories that no preset draws: ties, of eighths over
     power-of-two spans, so that many coordinates are exact binary ties at
     x.125, x.375, x.625 and x.875; and overflow, whose ``d - dhat`` spans
-    +-1e308, so its panel's range is inf wide and some coordinates NaN."""
+    +-1e308, so its panel's range is inf wide: this checkout places it from
+    halved values, and a parent may refuse it."""
     k = np.arange(1025)
     eighths = [(k * step % 65) / 8 for step in (37, 11, 7, 29)]  # in [0, 8], both ends reached
     half = np.where(k % 3 == 0, 5e307, -5e307)
@@ -176,7 +178,7 @@ def overflow(work, runs):
     h = hashlib.sha256()
     out = io.StringIO()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the inf-wide range
+        with np.errstate(over="ignore", invalid="ignore"):  # a parent's src overflows on the inf-wide range
             cli.write_svg(out, svg_cases()[1])
         h.update(out.getvalue().encode())
     except ValueError as exc:
