@@ -380,15 +380,6 @@ def _open_outputs(paths):
         fh.close()
 
 
-#: Values per formatted CSV block: a block is whole rows, copied from the
-#: trajectory's columns into the one workspace that ``shortest.csv_blocks``
-#: allocates per file, so the full table is never copied and a block
-#: allocates no buffer but its text.  Larger blocks spread the fixed cost
-#: of a block, about 190 numpy calls; 8192 against 4096 and 6144 is
-#: measured in BENCH_28.json.
-CSV_CHUNK = 8192
-
-
 def write_csv(fh, tr: Trajectory) -> None:
     """Header, then one line per grid point; each value is written exactly as
     ``repr(float)`` writes it, the shortest text that reads back as the same
@@ -404,7 +395,7 @@ def write_csv(fh, tr: Trajectory) -> None:
         + ["d", "dhat", "u", "y"]
     )
     columns = (tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y)
-    blocks = shortest.csv_blocks(columns, CSV_CHUNK)  # refuses a value that is not finite before any write
+    blocks = shortest.csv_blocks(columns)  # refuses a value that is not finite before any write
     fh.write(",".join(header) + "\n")
     fh.flush()
     fh.buffer.writelines(blocks)  # the ASCII bytes as formatted; each block is dropped before the next

@@ -1,10 +1,10 @@
 """Decimal text of doubles, a whole array at a time: the shortest that
 round-trips, for CSV, and two fixed places, for SVG.
 
-``csv_blocks(columns, block)`` renders each finite double exactly as
-Python's ``repr(float)`` does, and lays the rows of the columns out as CSV
-lines, a block of whole rows at a time, as ASCII bytes.  It runs in numpy
-only, on whole blocks.
+``csv_blocks(columns)`` renders each finite double exactly as Python's
+``repr(float)`` does, and lays the rows of the columns out as CSV lines, a
+block of whole rows of at most ``CSV_BLOCK`` values at a time, as ASCII
+bytes.  It runs in numpy only, on whole blocks.
 
 Digits.  Schubfach (R. Giulietti, "The Schubfach way to render doubles",
 2020; the digit kernel of the JDK's ``DoubleToDecimal``) finds, with
@@ -61,7 +61,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["FIXED2_LIMIT", "csv_blocks", "polylines"]
+__all__ = ["CSV_BLOCK", "FIXED2_LIMIT", "csv_blocks", "polylines"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -131,6 +131,14 @@ def _pow2_digits():
     table[1023:] = [len(str(2**e)) - 1 for e in range(64)]
     table.flags.writeable = False
     return table
+
+
+#: Values per formatted CSV block: a block is whole rows, copied from the
+#: columns into the one ``_Workspace`` a formatter allocates, so the full
+#: table is never copied and a block allocates no buffer but its text.
+#: Larger blocks spread the fixed cost of a block, about 190 numpy calls;
+#: 8192 against 4096 and 6144 is measured in BENCH_28.json.
+CSV_BLOCK = 8192
 
 
 class _Workspace:
@@ -398,10 +406,10 @@ def _keep_table():
     return table
 
 
-def csv_blocks(columns, block):
+def csv_blocks(columns):
     """The CSV lines of the rows of ``columns``, 1-D and 2-D float arrays of
     one length, as an iterator of ASCII bytes, each the lines of whole rows of
-    at most ``block`` values (one row if a row is longer).  Each value is
+    at most ``CSV_BLOCK`` values (one row if a row is longer).  Each value is
     written as ``repr(float)`` writes it.  Raises ValueError, before any
     block, if a value is not finite."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
@@ -411,7 +419,7 @@ def csv_blocks(columns, block):
     width = sum(c.shape[1] for c in columns)
     if width == 0:
         raise ValueError("cannot write a row without values")
-    return _blocks(columns, width, max(1, block // width))
+    return _blocks(columns, width, max(1, CSV_BLOCK // width))
 
 
 def _blocks(columns, width, rows):

@@ -182,36 +182,81 @@ def spectrum_gap_mp(M, parts, dps=40):
         mp.dps = old
 
 
+def _hessenberg_mp(M):
+    """Upper Hessenberg form of the f64 matrix ``M`` in mpmath at the current
+    precision, as a list of rows, by an elementary similarity with partial
+    pivoting (Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 6):
+    same eigenvalues, and an exactly zero subdiagonal entry wherever the
+    column below it is already zero."""
+    from mpmath import mpf
+
+    H = [[mpf(v) for v in row] for row in np.asarray(M, dtype=float).tolist()]
+    n = len(H)
+    for k in range(n - 2):
+        r = max(range(k + 1, n), key=lambda i: abs(H[i][k]))
+        H[k + 1], H[r] = H[r], H[k + 1]
+        for row in H:
+            row[k + 1], row[r] = row[r], row[k + 1]
+        pivot = H[k + 1][k]
+        if pivot == 0:
+            continue
+        for i in range(k + 2, n):
+            f = H[i][k] / pivot
+            if f == 0:
+                continue
+            H[i] = [a - f * b for a, b in zip(H[i], H[k + 1])]
+            H[i][k] = mpf(0)
+            for row in H:
+                row[k + 1] += f * row[i]
+    return H
+
+
+def _hyman_log_derivative(H, lo, hi, lam):
+    """``p'/p`` at ``lam`` for the characteristic polynomial ``p`` of the
+    unreduced Hessenberg block ``H[lo:hi, lo:hi]``, by Hyman's method in
+    O(n^2): back-substitute ``(H - lam I) x = alpha e_1`` from ``x_last = 1``,
+    with ``alpha`` proportional to ``p(lam)``, and differentiate the
+    recurrence in ``lam``.  None when ``p(lam)`` is exactly zero."""
+    x, dx = {hi - 1: 1}, {hi - 1: 0}
+
+    def row_dot(i, v):
+        return sum(H[i][j] * v[j] for j in range(i, hi)) - lam * v[i]
+
+    for i in range(hi - 1, lo, -1):
+        x[i - 1] = -row_dot(i, x) / H[i][i - 1]
+        dx[i - 1] = -(row_dot(i, dx) - x[i]) / H[i][i - 1]
+    alpha = row_dot(lo, x)
+    if alpha == 0:
+        return None
+    return (row_dot(lo, dx) - x[lo]) / alpha
+
+
 def newton_polished_eigs(M, seeds, dps=60, iters=8):
     """Polish eigenvalue estimates of exact f64 data in high precision.
 
-    Newton's method on the characteristic polynomial via
-    ``lambda <- lambda - 1 / trace((lambda I - M)^-1)``; quadratically
-    convergent at simple eigenvalues, which the design sweep guarantees.
+    Newton's method on the characteristic polynomial, ``lambda <- lambda -
+    p / p'``, quadratically convergent at simple eigenvalues, which the
+    design sweep guarantees.  ``M`` is reduced to Hessenberg form once and
+    split at its exactly zero subdiagonal entries; ``p'/p`` is the sum of
+    the blocks' log-derivatives, each by Hyman's method.
     """
-    from mpmath import mp, matrix as mp_matrix, mpc
+    from mpmath import mp, mpc
 
     old = mp.dps
     mp.dps = dps
     try:
-        A = mp_matrix(np.asarray(M, dtype=float).tolist())
-        n = A.rows
+        H = _hessenberg_mp(M)
+        n = len(H)
+        cuts = [0] + [i for i in range(1, n) if H[i][i - 1] == 0] + [n]
+        blocks = list(zip(cuts[:-1], cuts[1:]))
         out = []
         for seed in seeds:
             lam = mpc(seed.real, seed.imag)
             for _ in range(iters):
-                shifted = mp_matrix(A)
-                for i in range(n):
-                    shifted[i, i] = lam - shifted[i, i]
-                    for j in range(n):
-                        if j != i:
-                            shifted[i, j] = -shifted[i, j]
-                try:
-                    inv = shifted**-1
-                except ZeroDivisionError:
+                terms = [_hyman_log_derivative(H, lo, hi, lam) for lo, hi in blocks]
+                if None in terms:
                     break  # landed exactly on the eigenvalue
-                trace = sum(inv[i, i] for i in range(n))
-                step = 1 / trace
+                step = 1 / sum(terms)
                 lam = lam - step
                 if abs(step) < 1e-25 * max(1.0, abs(lam)):
                     break

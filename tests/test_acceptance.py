@@ -14,7 +14,12 @@ measured behavior:
   factor delays the 1e-6 crossing from t = 15 to t ~ 19.
 """
 
+import copy
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -316,3 +321,77 @@ def test_criterion_8_determinism(tmp_path):
     report(8, ok, f"byte-identical={identical}, finite metrics={finite}, csv lines={rows} "
                   f"(fig4 tail dist err {payload['tail_max_dist_err']:.4g})")
     assert ok
+
+
+#: Each child names the OpenBLAS core it runs on, read by ``tools/digest.py``'s
+#: ``blas_core``, then runs ``edo simulate --svg`` on each config in process,
+#: with a RuntimeWarning an error, as in this suite.
+KERNEL_CHILD = """
+import contextlib, importlib.util, io, json, sys
+
+tool, configs, out, *names = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("digest", tool)
+digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digest)  # puts this checkout's src first on sys.path
+from edo import cli
+
+runs = {"core": digest.blas_core()}
+for name in names:
+    argv = ["simulate", "--config", f"{configs}/{name}.json", "--out", f"{out}/{name}.csv", "--svg", f"{out}/{name}.svg"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(io.StringIO()) as stderr:
+        rc = cli.main(argv)
+    runs[name] = [rc, stdout.getvalue(), stderr.getvalue()]
+json.dump(runs, sys.stdout)
+"""
+KERNEL_SETTINGS = {"haswell-1": ("Haswell", "1"), "haswell-2": ("Haswell", "2"), "sandybridge-1": ("Sandybridge", "1")}
+
+
+def test_outputs_across_blas_kernels(tmp_path):
+    """README's scope of byte identity: the four presets cut to 0.5 s and a
+    fig3 run that trips the divergence guard, in one child interpreter per
+    OpenBLAS kernel and thread count.  On one kernel, 1 and 2 threads give
+    the same CSV, SVG, stdout and stderr bytes; from Haswell to Sandybridge
+    (no FMA) every CSV column agrees within 1e-12 of its scale and the guard
+    trips at the same t."""
+    configs = {name: copy.deepcopy(cli.SCENARIOS[name]) for name in ("fig1", "fig2", "fig3", "fig4")}
+    for cfg in configs.values():
+        cfg["sim"]["t_end"] = 0.5
+    configs["trip"] = copy.deepcopy(cli.SCENARIOS["fig3"])
+    configs["trip"]["gains"]["omega_o"] = 3000.0
+    configs["trip"]["sim"].update(dt=1e-4, t_end=0.3)
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    tool = str(Path(__file__).resolve().parent.parent / "tools" / "digest.py")
+    children = {}
+    for setting, (core, threads) in KERNEL_SETTINGS.items():
+        (tmp_path / setting).mkdir()
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", KERNEL_CHILD, tool, str(tmp_path),
+                str(tmp_path / setting), *configs]
+        children[setting] = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    runs = {}
+    for setting, child in children.items():
+        stdout, stderr = child.communicate(timeout=60)
+        assert child.returncode == 0, stderr.decode()
+        runs[setting] = json.loads(stdout)
+    for setting, (core, _) in KERNEL_SETTINGS.items():
+        if runs[setting]["core"] != core:
+            pytest.skip(f"OPENBLAS_CORETYPE={core} runs the {runs[setting]['core']} kernel: "
+                        "numpy's BLAS kernel cannot be chosen here")
+
+    def files(setting, name):
+        return [(tmp_path / setting / f"{name}{suffix}").read_bytes() for suffix in (".csv", ".svg")]
+
+    haswell, sandybridge = runs["haswell-1"], runs["sandybridge-1"]
+    assert runs["haswell-2"] == haswell
+    for name in ("fig1", "fig2", "fig3", "fig4"):
+        assert haswell[name][0] == sandybridge[name][0] == 0
+        assert files("haswell-2", name) == files("haswell-1", name)
+        got, want = (np.loadtxt(tmp_path / setting / f"{name}.csv", delimiter=",", skiprows=1)
+                     for setting in ("sandybridge-1", "haswell-1"))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0))
+    trip_at = [re.fullmatch(r"divergence: .* at t=(\S+)\n", run["trip"][2]).group(1) for run in (haswell, sandybridge)]
+    assert haswell["trip"][0] == sandybridge["trip"][0] == 4
+    assert trip_at[0] == trip_at[1]
+    assert not any((tmp_path / setting / "trip.csv").exists() for setting in KERNEL_SETTINGS)

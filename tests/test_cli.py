@@ -276,7 +276,7 @@ class TestSimulateCommand:
         # then four blocks through one workspace: the longest forms first
         # (negative, 17 digits, e-3xx), the shortest in a last partial block
         width = 1 + 2 + 2 + 3 + 4
-        block = cli.CSV_CHUNK // width
+        block = shortest.CSV_BLOCK // width
         rows = 1 if extra is None else block + (3 * block + 5 if extra == "longest first" else extra)
         rng = np.random.default_rng(rows)
         table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-30, 30, (rows, width))

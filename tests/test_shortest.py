@@ -8,14 +8,14 @@ from edo.shortest import FIXED2_LIMIT, csv_blocks, polylines
 
 
 def formatted(values):
-    """The CSV lines of ``values`` as one column, in one block, one string per value."""
+    """The CSV lines of ``values`` as one column, in the blocks ``edo`` writes, one string per value."""
     values = np.asarray(values, dtype=np.float64)
-    return b"".join(csv_blocks([values], values.size)).decode("ascii").split("\n")[:-1]
+    return b"".join(csv_blocks([values])).decode("ascii").split("\n")[:-1]
 
 
-def mismatches(values, block=20_000):
+def mismatches(values):
     values = np.asarray(values, dtype=np.float64)
-    got = [text for start in range(0, values.size, block) for text in formatted(values[start : start + block])]
+    got = formatted(values)
     assert len(got) == values.size
     return [(g, repr(v)) for g, v in zip(got, values.tolist()) if g != repr(v)]
 
@@ -73,12 +73,12 @@ def test_every_layout_row_matches_repr():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_refused(bad):
     with pytest.raises(ValueError, match="not finite"):
-        csv_blocks([np.array([[1.0, bad]])], 2)
+        csv_blocks([np.array([[1.0, bad]])])
 
 
 def test_rows_without_values_refused():
     with pytest.raises(ValueError, match="without values"):
-        csv_blocks([np.zeros((2, 0))], 0)
+        csv_blocks([np.zeros((2, 0))])
 
 
 def test_points_match_format_over_the_exponent_range():

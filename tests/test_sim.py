@@ -677,6 +677,16 @@ class TestHighGainProbe:
         values = [lb for _, lb in table]
         assert max(values) / min(values) <= 10.0
 
+    def test_probe_design_matches_its_closed_form(self):
+        # edo probe's own design: A + K_w C + w I is nilpotent, so exp of it
+        # times t is I + (that) t, and the largest norm is at t = 1
+        base = GainBase(k=(-1.0, -2.0), p=(-1.0,))
+        omegas = [1.0, 10.0, 100.0, 1000.0]
+        table = high_gain_probe(base, canonical_plant([0.0, 0.0]), omegas, np.linspace(0, 1, 201))
+        assert [w for w, _ in table] == omegas
+        for w, lb in table:
+            assert lb == pytest.approx(np.hypot(1.0 + w, 1.0), rel=1e-9)
+
     def test_counterexample_matches_closed_form_and_grows(self):
         omegas = [10.0, 100.0, 1000.0]
         got = [peaking_counterexample_norm(w) for w in omegas]
