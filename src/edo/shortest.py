@@ -137,8 +137,9 @@ def _pow2_digits():
 #: columns into the one ``_Workspace`` a formatter allocates, so the full
 #: table is never copied and a block allocates no buffer but its text.
 #: Larger blocks spread the fixed cost of a block, about 190 numpy calls;
-#: 8192 against 4096 and 6144 is measured in BENCH_28.json.
-CSV_BLOCK = 8192
+#: the sweep from 8192 to 32768 in BENCH_35.json levels off from 12288.
+#: At 16384 the workspace is about 2 MB (124 bytes a value).
+CSV_BLOCK = 16384
 
 
 class _Workspace:

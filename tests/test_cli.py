@@ -1,4 +1,6 @@
 import builtins
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -49,6 +51,33 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@functools.cache
+def cut_preset(name):
+    """The trajectory of preset ``name`` cut to 0.5 s, as ``edo simulate``
+    runs it, and its ``row_loop_lines``."""
+    raw = json.loads(json.dumps(cli.SCENARIOS[name]))
+    raw["sim"]["t_end"] = 0.5
+    tr = cli.run_config(cli.parse_config(raw))
+    return tr, tuple(row_loop_lines(tr))
+
+
+def csv_bytes(tr):
+    """What ``cli.write_csv`` writes for ``tr``."""
+    buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    cli.write_csv(buf, tr)
+    return buf.buffer.getvalue()
+
+
+def row_loop_lines(tr):
+    """The header and the CSV lines of ``tr`` by the per-row ``repr`` loop
+    the block writer replaced, the reference for every block length."""
+    n, v_dim = tr.x.shape[1], tr.v_hat.shape[1]
+    names = ["t", *(f"x{i + 1}" for i in range(n)), *(f"xhat{i + 1}" for i in range(n)),
+             *(f"vhat{i + 1}" for i in range(v_dim)), "d", "dhat", "u", "y"]
+    table = np.column_stack([tr.times, tr.x, tr.x_hat, tr.v_hat, tr.d, tr.d_hat, tr.u, tr.y])
+    return [",".join(names) + "\n"] + [",".join(map(repr, row)) + "\n" for row in table.tolist()]
 
 
 class TestDesignCommand:
@@ -289,12 +318,26 @@ class TestSimulateCommand:
             table[-5:] = rng.choice([0.0, -0.0, 1.0, -2.0, 7.0], (5, width))
         tr = Trajectory(times=table[:, 0], x=table[:, 1:3], x_hat=table[:, 3:5], v_hat=table[:, 5:8],
                         d=table[:, 8], d_hat=table[:, 9], u=table[:, 10], y=table[:, 11])
-        buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-        cli.write_csv(buf, tr)
-        # the per-row loop the block writer replaced, as the reference
-        expected = "t,x1,x2,xhat1,xhat2,vhat1,vhat2,vhat3,d,dhat,u,y\n"
-        expected += "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
-        assert buf.buffer.getvalue().decode("ascii") == expected
+        lines = row_loop_lines(tr)
+        assert lines[0] == "t,x1,x2,xhat1,xhat2,vhat1,vhat2,vhat3,d,dhat,u,y\n"
+        assert csv_bytes(tr).decode("ascii") == "".join(lines)
+
+    @pytest.mark.parametrize("block", ["1", "width-1", "width", "8192", "16384", "above-count"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+    def test_block_length_never_moves_a_byte(self, monkeypatch, name, block):
+        # Blocks of whole rows: at 1, width-1 and width every block is one
+        # row, at about 150 us a row, so there the first 400 rows are written
+        # (the whole cut preset takes about 0.8 s); above the value count the
+        # file is one block.
+        tr, lines = cut_preset(name)
+        width = 1 + 2 * tr.x.shape[1] + tr.v_hat.shape[1] + 4
+        size = {"1": 1, "width-1": width - 1, "width": width, "8192": 8192, "16384": 16384,
+                "above-count": tr.times.size * width + 1}[block]
+        if size <= width:
+            tr = Trajectory(**{f.name: getattr(tr, f.name)[:400] for f in dataclasses.fields(tr)})
+            lines = lines[:401]
+        monkeypatch.setattr(shortest, "CSV_BLOCK", size)
+        assert csv_bytes(tr) == "".join(lines).encode("ascii")
 
     def test_non_finite_value_writes_nothing(self):
         # checked before the header: a file rewritten in place is left unchanged

@@ -69,6 +69,16 @@ class TestEvaluate:
             fd = (evaluate(s, t + 1e-7) - evaluate(s, t - 1e-7)) / 2e-7
             assert s.slope(t) == pytest.approx(fd, abs=1e-6)
 
+    def test_signal_without_value_or_slope(self):
+        # a kind that overrides neither method has no value to give
+        class Bare(Signal):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            evaluate(Bare(), 0.0)
+        with pytest.raises(NotImplementedError):
+            Bare().slope(np.linspace(0.0, 1.0, 3))
+
 
 class TestSum:
     def test_nested_sums_are_flattened(self):

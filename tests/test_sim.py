@@ -335,6 +335,61 @@ def reference_run(p, obs, fb, rs, d, cfg, x0, obs0):
     return {"x": x, "x_hat": z[:, :n], "v_hat": z[:, n:], "d": d_vals, "d_hat": d_hat, "u": u, "y": y}
 
 
+def stacked_run(p, obs, fb, rs, d, cfg, x0, obs0):
+    """``reference_run``'s closed loop stepped as one state ``w = (x, z)``,
+    with one matrix-vector product a stage.
+
+    ``w' = (M0 + ramp(t) U) w + d(t) b_d + nu_k b_y``, written from the
+    model: with the control row ``K = [F, -Q]`` (zero without a feedback
+    gain), ``M0 = [[A, B K], [0, A_hat + B_u K]]``, ``U = [[0, 0], [L_y C, 0]]``,
+    ``b_d = (B, 0)`` and ``b_y = (0, L_y)``.  Shares no code with
+    ``simulate``; ``reference_run`` is its oracle.
+    """
+    n, N, dt = p.n, cfg.steps, cfg.dt
+    dim = n + obs.dim
+    K = np.zeros(obs.dim) if fb is None else np.concatenate([fb.F, -rs.Q])
+    M0 = np.zeros((dim, dim))
+    M0[:n, :n] = p.A
+    M0[:n, n:] = np.outer(p.B, K)
+    M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, K)
+    U = np.zeros((dim, dim))
+    U[n:, :n] = np.outer(obs.L_y, p.C)
+    b_d = np.concatenate([p.B, np.zeros(obs.dim)])
+    b_y = np.concatenate([np.zeros(n), obs.L_y])
+    if cfg.noise_std > 0.0:
+        noise = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal(N + 1)
+    else:
+        noise = np.zeros(N + 1)
+    half = np.arange(2 * N + 1) * (dt / 2)  # the stage times: step k starts at half[2k]
+    ramp = 1.0 - np.exp(-half) if cfg.output_ramp else np.ones(2 * N + 1)
+    d_vals = np.asarray(d.value(half), dtype=float)
+    forcing = d_vals[:, None] * b_d
+    drifts = M0 + ramp[:, None, None] * U if cfg.output_ramp else np.broadcast_to(M0 + U, (2 * N + 1, dim, dim))
+
+    w = np.empty((N + 1, dim))
+    w[0, :n], w[0, n:] = x0, obs0
+    for k in range(N):
+        s, wk, held = 2 * k, w[k], noise[k] * b_y
+        k1 = drifts[s] @ wk + forcing[s] + held
+        if cfg.integrator == "euler":
+            w[k + 1] = wk + dt * k1
+            continue
+        k2 = drifts[s + 1] @ (wk + dt / 2 * k1) + forcing[s + 1] + held
+        k3 = drifts[s + 1] @ (wk + dt / 2 * k2) + forcing[s + 1] + held
+        k4 = drifts[s + 2] @ (wk + dt * k3) + forcing[s + 2] + held
+        w[k + 1] = wk + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return {"x": w[:, :n], "x_hat": w[:, n : 2 * n], "v_hat": w[:, 2 * n :], "d": d_vals[::2],
+            "d_hat": w[:, 2 * n :] @ rs.Q, "u": w[:, n:] @ K, "y": ramp[::2] * (w[:, :n] @ p.C) + noise}
+
+
+def assert_columns_match(got, want):
+    """Each column of each record of ``got`` within 1e-12 of the largest
+    magnitude in that column of ``want``."""
+    for name, cols in want.items():
+        err = np.abs(np.reshape(got[name], cols.shape) - cols)
+        assert np.all(err.max(axis=0) <= 1e-12 * np.abs(cols).max(axis=0)), name
+
+
 def assert_matches_reference(design, cfg):
     p, exo, sg, rs, obs, fb = make_design(**design)
     assert_run_matches_reference(p, obs, fb, rs, cfg)
@@ -344,11 +399,9 @@ def assert_run_matches_reference(p, obs, fb, rs, cfg):
     x0 = np.linspace(0.5, -0.5, p.n)
     obs0 = np.zeros(obs.dim)
     tr = simulate(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
-    ref = reference_run(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+    ref = stacked_run(p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
     assert np.array_equal(tr.times, np.arange(cfg.steps + 1) * cfg.dt)
-    for name, want in ref.items():
-        got = getattr(tr, name).reshape(want.shape)
-        assert np.all(np.abs(got - want).max(axis=0) <= 1e-12 * np.abs(want).max(axis=0)), name
+    assert_columns_match({name: getattr(tr, name) for name in ref}, ref)
 
 
 N5_M4_BASE = (-1.0, -5.0, -10.0, -10.0, -5.0)
@@ -409,12 +462,33 @@ class TestOutputRow:
         assert_run_matches_reference(*self.design(), cfg)
 
 
+class TestStackedOracle:
+    """``stacked_run`` agrees with ``reference_run``, its oracle, within
+    1e-12 of column scale: on each block design, in the 7-state loop opened,
+    and on the output-row plant, for both integrators, with ramp and noise
+    on and off."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01], ids=["quiet", "noise"])
+    @pytest.mark.parametrize("ramp", [False, True], ids=["const", "ramp"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_agrees_with_reference_run(self, integrator, ramp, noise):
+        cfg = SimConfig(t_end=0.2, dt=1e-3, integrator=integrator, noise_std=noise, seed=17, output_ramp=ramp)
+        loops = []
+        for dim, design in BLOCK_DESIGNS.items():
+            p, exo, sg, rs, obs, fb = make_design(**design)
+            loops += [(p, obs, fb, rs)] + ([(p, obs, None, rs)] if dim == 7 else [])
+        for p, obs, fb, rs in loops + [TestOutputRow.design()]:
+            x0, obs0 = np.linspace(0.5, -0.5, p.n), np.linspace(-0.2, 0.3, obs.dim)
+            run = (p, obs, fb, rs, SINE_PLUS_TEN, cfg, x0, obs0)
+            assert_columns_match(stacked_run(*run), reference_run(*run))
+
+
 @functools.lru_cache(maxsize=None)
 def open_loop_magnitude(cfg, scale):
-    """Largest state magnitude at each grid point of the reference run of
+    """Largest state magnitude at each grid point of the stacked run of
     ``test_divergence_guard``'s open loop from ``x0 = (scale, 0)``."""
     p, exo, sg, rs, obs, _ = make_design([2.0, 1.0], [], (-1.0,), 10.0)
-    ref = reference_run(p, obs, None, rs, Constant(0.0), cfg, [scale, 0.0], np.zeros(3))
+    ref = stacked_run(p, obs, None, rs, Constant(0.0), cfg, [scale, 0.0], np.zeros(3))
     return np.abs(np.hstack([ref["x"], ref["x_hat"], ref["v_hat"]])).max(axis=1)
 
 
