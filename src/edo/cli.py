@@ -263,13 +263,14 @@ class Design:
 
 
 def build_design(cfg: RunConfig) -> Design:
-    """Run the synthesis pipeline for a parsed configuration."""
+    """Run the synthesis pipeline for a parsed configuration, its closed loop included."""
     exo = exosystem_from_spectrum(cfg.spectrum)
     base = GainBase(k=cfg.k, p=cfg.p)
     sg = schedule_gains(cfg.plant, exo, base, cfg.omega_o)
     rs = solve_regulator(cfg.plant, exo, sg)
     obs = assemble_edo(cfg.plant, exo, sg, rs)
     fb = stabilizer_gain(cfg.plant, cfg.k, cfg.omega_c)
+    closed_loop(cfg.plant, obs, fb, rs)  # refuses (Overflow) a drift beyond the double range before any run
     return Design(plant=cfg.plant, exo=exo, gains=sg, regulator=rs, observer=obs, stabilizer=fb)
 
 

@@ -198,6 +198,7 @@ def _terms(s: Signal):
     return s.terms if isinstance(s, Sum) else (s,)
 
 
+@linalg.quiet
 def s_norm(s: Signal) -> float:
     """Signal-class norm: |s(0)| plus the supremum of |ds/dt|.
 
@@ -206,13 +207,9 @@ def s_norm(s: Signal) -> float:
     beyond the double range.
     """
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for term in _terms(s):  # in term order, without sum()'s compensated addition
-            total += term.sup_slope()
-        total = float(abs(s.value(0.0))) + total
-    if not np.isfinite(total):
-        raise Overflow("signal-class norm overflows the double range")
-    return total
+    for term in _terms(s):  # in term order, without sum()'s compensated addition
+        total += term.sup_slope()
+    return linalg.fits(float(abs(s.value(0.0))) + total, "signal-class norm overflows the double range")
 
 
 @dataclass(frozen=True)
@@ -252,8 +249,7 @@ class Exosystem:
         if coeffs.dtype.kind == "c":
             lam = next(lam for lam in requested if requested.count(lam) > requested.count(lam.conjugate()))
             raise NotConjugateClosed(f"no conjugate partner for {lam}")
-        if not np.isfinite(coeffs).all():
-            raise Overflow(f"spectrum {linalg.echo(requested)} overflows the exosystem polynomial")
+        linalg.fits(coeffs, "spectrum {} overflows the exosystem polynomial", requested)
         # each zero eigenvalue leaves an exact trailing zero; one more is a product that underflowed
         if coeffs[-1 - spectrum.count(0)] == 0.0:
             raise Overflow(f"spectrum {linalg.echo(requested)} underflows the exosystem polynomial")
@@ -304,6 +300,7 @@ class Decomposition:
     residual_s_norm: float
 
 
+@linalg.quiet
 def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     """Term-match a structured signal against the exosystem spectrum.
 
@@ -318,10 +315,8 @@ def decompose(d: Signal, exo: Exosystem) -> Decomposition:
     modeled, residual = [], []
     for term in _terms(d):
         (modeled if term.generated_by(exo) else residual).append(term)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = float(Sum(tuple(residual)).value(0.0)) if residual else 0.0
-    if not np.isfinite(shift):
-        raise Overflow("residual value at t = 0 overflows the double range")
+    shift = float(Sum(tuple(residual)).value(0.0)) if residual else 0.0
+    linalg.fits(shift, "residual value at t = 0 overflows the double range")
     if shift != 0.0:
         residual.append(Constant(-shift))
         modeled.append(Constant(shift))

@@ -27,10 +27,16 @@ __all__ = [
     "finite_array",
     "cut",
     "echo",
+    "quiet",
+    "fits",
 ]
 
 #: Margin on the real axis for Hurwitz classification.
 HURWITZ_TOL = 1e-9
+
+#: The error state of every builder, as a decorator (one instance nests as that, not in ``with``):
+#: a result beyond the double range is refused by ``fits``, not warned about on the way.
+quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _as_square(M, stack=False) -> np.ndarray:
@@ -59,15 +65,11 @@ def is_hurwitz(M) -> bool:
     return bool(eigenvalues(M).real.max() < -HURWITZ_TOL)
 
 
+@quiet
 def expm(M) -> np.ndarray:
     """Matrix exponential of a square matrix or of each in a stack ``(..., n, n)``
     via scaling-and-squaring (degree-13 Pade core)."""
-    M = _as_square(M, stack=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = _expm_pade(M)
-    if not np.all(np.isfinite(E)):
-        raise Overflow("matrix exponential overflowed the double range")
-    return E
+    return fits(_expm_pade(_as_square(M, stack=True)), "matrix exponential overflowed the double range")
 
 
 def companion_from_last_row(row) -> np.ndarray:
@@ -108,6 +110,14 @@ def echo(value) -> str:
     ``reprlib`` shortens long strings and sequences and deep nesting, and
     ``cut`` the rest."""
     return cut(reprlib.repr(value), 80)
+
+
+def fits(value, message: str, *args):
+    """``value`` if every entry is finite; otherwise refuses it (Overflow) with
+    ``message.format(*args)``, a list shown by ``echo``, formatted only then."""
+    if np.isfinite(value).all():
+        return value
+    raise Overflow(message.format(*(echo(a) if isinstance(a, list) else a for a in args)))
 
 
 def _finite(values, convert, what: str) -> tuple:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import EmptyCoefficients, NotControllable, Overflow, SpectraOverlap
+from .errors import EmptyCoefficients, NotControllable, SpectraOverlap
 
 __all__ = [
     "Plant",
@@ -123,18 +123,14 @@ def is_observable_for_S(p: Plant) -> bool:
     return p.b[0] != 0.0 and all(v == 0.0 for v in p.b[1:])
 
 
+@linalg.quiet
 def observability_matrix(A, C) -> np.ndarray:
     """Krylov rows ``C, C A, ..., C A^(n-1)``; refuses (Overflow) rows beyond the double range."""
     A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float).reshape(-1)
-    rows = [C]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(A.shape[0] - 1):
-            rows.append(rows[-1] @ A)
-    K = np.array(rows)
-    if not np.isfinite(K).all():
-        raise Overflow(f"Krylov rows of an order-{A.shape[0]} matrix overflow the double range")
-    return K
+    rows = [np.asarray(C, dtype=float).reshape(-1)]
+    for _ in range(A.shape[0] - 1):
+        rows.append(rows[-1] @ A)
+    return linalg.fits(np.array(rows), "Krylov rows of an order-{} matrix overflow the double range", A.shape[0])
 
 
 def controllability_matrix(A, B) -> np.ndarray:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .disturbance import Signal, evaluate
-from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite, Overflow
+from .errors import ConfigError, DimensionMismatch, EmptyTrajectory, NonFinite
 from .plant import Plant
 from .synthesis import GainBase, ObserverRealization, RegulatorSolution, StabilizerGain
 from .synthesis import _bandwidth, _loop, _power_schedule
@@ -133,6 +133,7 @@ class Trajectory:
     y: np.ndarray
 
 
+@linalg.quiet
 def simulate(
     p: Plant,
     obs: ObserverRealization,
@@ -156,6 +157,8 @@ def simulate(
     ``DIVERGENCE_GUARD`` (or not finite) raises ``NonFinite`` naming the
     first such grid time, and then so does a recorded ``d``, ``d_hat``,
     ``u``, ``y`` or ``d - d_hat`` that is not finite: every value returned is.
+    An input or a diverging block may overflow on the way, quietly: the guard
+    reports the first row beyond it, so the overflow itself is not an error.
     """
     n = p.n
     M0, U, col_y, col_d, F_aug = _loop(p, obs, fb, rs)
@@ -178,49 +181,46 @@ def simulate(
     times = half_times[::2]
     Z[0, :dim] = np.concatenate([x0, z_obs0])
 
-    # an input or a diverging block may overflow; the guard below reports
-    # the first row beyond it, so the overflow itself is not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_half = np.asarray(evaluate(d, half_times), dtype=float)
-        ramp_half = 1.0 - np.exp(-half_times) if cfg.output_ramp else np.ones(len(half_times))
-        noise = np.zeros(N + 1)
-        if cfg.noise_std > 0.0:
-            # the residue keeps every nonnegative seed's stream and runs the negative ones
-            noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
-        # K: the first step after the last ramp sample that is not 1.0; from it on, one Phi
-        K = min(N, np.flatnonzero(ramp_half != 1.0)[-1] // 2 + 1) if cfg.output_ramp else 0
-        basis = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
-        # at ramp 1.0 Phi sums _step_maps' terms with s <= 1, G4[s - 2] the forcing of those with s
-        sums = np.tensordot(np.arange(1, 6)[:, None] == np.maximum(basis[0][2], 1), basis[1], 1)
-        Phi, G4 = sums[0, :dim, :dim] + np.eye(dim), sums[1:, :dim, dim]
-        block, const_block = _block_steps(dim), _block_steps(dim, constant=True)
-        blocks = [(k0, min(k0 + block, K)) for k0 in range(0, K, block)]
-        blocks += [(k0, min(k0 + const_block, N)) for k0 in range(K, N, const_block)]
-        for k0, k1 in blocks:
-            j, rows = slice(2 * k0, 2 * k1 + 1), Z[k0 : k1 + 1]
-            # past the split every ramp sample is 1.0: these are the constant blocks' maps too
-            maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
-            if k0 < K:
-                _scan(_step_maps(*maps), rows)
-            else:
-                f = np.stack([noise[k0:k1], d_half[j][0:-2:2], d_half[j][1:-1:2], d_half[j][2::2]], axis=1)
-                _scan_constant(Phi, f @ G4, rows[:, :dim])
+    d_half = np.asarray(evaluate(d, half_times), dtype=float)
+    ramp_half = 1.0 - np.exp(-half_times) if cfg.output_ramp else np.ones(len(half_times))
+    noise = np.zeros(N + 1)
+    if cfg.noise_std > 0.0:
+        # the residue keeps every nonnegative seed's stream and runs the negative ones
+        noise = cfg.noise_std * np.random.default_rng(int(cfg.seed) % 2**64).standard_normal(N + 1)
+    # K: the first step after the last ramp sample that is not 1.0; from it on, one Phi
+    K = min(N, np.flatnonzero(ramp_half != 1.0)[-1] // 2 + 1) if cfg.output_ramp else 0
+    basis = _basis(M0, U, col_y, col_d, dt, cfg.integrator == "rk4")
+    # at ramp 1.0 Phi sums _step_maps' terms with s <= 1, G4[s - 2] the forcing of those with s
+    sums = np.tensordot(np.arange(1, 6)[:, None] == np.maximum(basis[0][2], 1), basis[1], 1)
+    Phi, G4 = sums[0, :dim, :dim] + np.eye(dim), sums[1:, :dim, dim]
+    block, const_block = _block_steps(dim), _block_steps(dim, constant=True)
+    blocks = [(k0, min(k0 + block, K)) for k0 in range(0, K, block)]
+    blocks += [(k0, min(k0 + const_block, N)) for k0 in range(K, N, const_block)]
+    for k0, k1 in blocks:
+        j, rows = slice(2 * k0, 2 * k1 + 1), Z[k0 : k1 + 1]
+        # past the split every ramp sample is 1.0: these are the constant blocks' maps too
+        maps = (basis, ramp_half[j], d_half[j], noise[k0:k1])
+        if k0 < K:
+            _scan(_step_maps(*maps), rows)
+        else:
+            f = np.stack([noise[k0:k1], d_half[j][0:-2:2], d_half[j][1:-1:2], d_half[j][2::2]], axis=1)
+            _scan_constant(Phi, f @ G4, rows[:, :dim])
+        bad = _first_bad(rows)
+        if bad is not None and not np.isfinite(rows[bad]).all():
+            # overflowed in a long product or a power of Phi: step the block from its start
+            for k, A in enumerate(_step_maps(*maps)):
+                rows[k + 1] = A @ rows[k]
             bad = _first_bad(rows)
-            if bad is not None and not np.isfinite(rows[bad]).all():
-                # overflowed in a long product or a power of Phi: step the block from its start
-                for k, A in enumerate(_step_maps(*maps)):
-                    rows[k + 1] = A @ rows[k]
-                bad = _first_bad(rows)
-            if bad is not None:
-                raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
+        if bad is not None:
+            raise NonFinite(f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={times[k0 + bad]:.6g}")
 
-        x, z_obs = Z[:, :n], Z[:, n:dim]
-        d, d_hat, u, y = d_half[::2], z_obs @ obs.d_hat_row, z_obs @ F_aug, ramp_half[::2] * (x @ p.C) + noise
-        # the guard bounds the states only: d_hat and u scale them by gains, and no
-        # step reads y at the last grid point, nor d there under Euler
-        finite = np.isfinite(d - d_hat) & np.isfinite(u) & np.isfinite(y)
-        if not finite.all():
-            raise NonFinite(f"recorded d, dhat, u, y or d - dhat not finite at t={times[finite.argmin()]:.6g}")
+    x, z_obs = Z[:, :n], Z[:, n:dim]
+    d, d_hat, u, y = d_half[::2], z_obs @ obs.d_hat_row, z_obs @ F_aug, ramp_half[::2] * (x @ p.C) + noise
+    # the guard bounds the states only: d_hat and u scale them by gains, and no
+    # step reads y at the last grid point, nor d there under Euler
+    finite = np.isfinite(d - d_hat) & np.isfinite(u) & np.isfinite(y)
+    if not finite.all():
+        raise NonFinite(f"recorded d, dhat, u, y or d - dhat not finite at t={times[finite.argmin()]:.6g}")
     return Trajectory(times=times, x=x, x_hat=Z[:, n : 2 * n], v_hat=Z[:, 2 * n : dim], d=d, d_hat=d_hat, u=u, y=y)
 
 
@@ -398,7 +398,5 @@ def peaking_counterexample_norm(omega: float) -> float:
     -1, so ``exp(A_w / w) = e^-1 (2 I + A_w / w)`` by Cayley-Hamilton.
     """
     w = _bandwidth(omega)
-    norm = math.exp(-1.0) * math.hypot(2.0 + 1.0 / w, w)
-    if norm == math.inf:  # 1/w beyond the double range
-        raise Overflow(f"counterexample at bandwidth {w:g} overflows the double range")
-    return norm
+    norm = math.exp(-1.0) * math.hypot(2.0 + 1.0 / w, w)  # inf for a 1/w beyond the double range
+    return linalg.fits(norm, "counterexample at bandwidth {:g} overflows the double range", w)

@@ -31,7 +31,6 @@ from .errors import (
     NonHurwitzBase,
     NotDiagonalizable,
     NotObservablePair,
-    Overflow,
     SingularSystem,
     SpectraOverlap,
 )
@@ -110,6 +109,7 @@ def _bandwidth(w) -> float:
     return w
 
 
+@linalg.quiet
 def _power_schedule(base, w, shift) -> np.ndarray:
     """Gain ``base_j w^(s-j) - shift_j``, s = len(base); added to the coefficients
     ``shift`` it gives the companion of ``base`` with its spectrum times ``w``.
@@ -117,14 +117,9 @@ def _power_schedule(base, w, shift) -> np.ndarray:
     s = len(base)
     if len(shift) != s:
         raise DimensionMismatch(f"base of length {s} does not fit the {len(shift)} coefficients it shifts")
-    w = _bandwidth(w)
-    try:
-        gains = np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
-    except OverflowError:  # a Python-float power beyond the double range
-        gains = np.array([np.inf])
-    if not np.all(np.isfinite(gains)):
-        raise Overflow(f"bandwidth {w:g} overflows the gain schedule")
-    return gains
+    w = np.float64(_bandwidth(w))  # whose powers beyond the double range are inf, not OverflowError
+    gains = np.array([base[j] * w ** (s - j) - shift[j] for j in range(s)])
+    return linalg.fits(gains, "bandwidth {:g} overflows the gain schedule", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +153,7 @@ def _regulator_system(A_inj, G, B, C, P_row):
     return M, rhs
 
 
+@linalg.quiet
 def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
     """Joint dense solve of ``A_inj S - S G = B Q`` with ``C S = P_row``.
 
@@ -171,26 +167,24 @@ def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
     n, d = A_inj.shape[0], G.shape[0]
     nS = n * d
     M, rhs = _regulator_system(A_inj, G, B, C, P_row)
-    # a solve that leaves the double range is refused below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            sol = np.linalg.solve(M, rhs)
-            # two refinement sweeps with an extended-precision residual; the
-            # system is graded enough that the raw forward error would
-            # otherwise leak into the designed closed-loop spectrum
-            M_ld = M.astype(np.longdouble)
-            rhs_ld = rhs.astype(np.longdouble)
-            for _ in range(2):
-                resid = np.asarray(rhs_ld - M_ld @ sol.astype(np.longdouble), dtype=float)
-                sol = sol + np.linalg.solve(M, resid)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                "regulator system is singular; an exosystem eigenvalue is a plant transmission zero"
-            ) from exc
-        residual = np.abs(M @ sol - rhs).max()
-        scale = np.abs(M).max() * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
-    if not np.isfinite(sol).all():
-        raise Overflow(f"regulator solution overflows the double range (system entries up to {np.abs(M).max():g})")
+    try:
+        sol = np.linalg.solve(M, rhs)
+        # two refinement sweeps with an extended-precision residual; the
+        # system is graded enough that the raw forward error would
+        # otherwise leak into the designed closed-loop spectrum
+        M_ld = M.astype(np.longdouble)
+        rhs_ld = rhs.astype(np.longdouble)
+        for _ in range(2):
+            resid = np.asarray(rhs_ld - M_ld @ sol.astype(np.longdouble), dtype=float)
+            sol = sol + np.linalg.solve(M, resid)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            "regulator system is singular; an exosystem eigenvalue is a plant transmission zero"
+        ) from exc
+    M_max = np.abs(M).max()
+    linalg.fits(sol, "regulator solution overflows the double range (system entries up to {:g})", M_max)
+    residual = np.abs(M @ sol - rhs).max()
+    scale = M_max * max(np.abs(sol).max(), 1.0) + np.abs(rhs).max()
     if residual > 1e-6 * scale:
         raise SingularSystem(
             "regulator system is numerically singular; a plant transmission zero is near an exosystem eigenvalue"
@@ -204,6 +198,7 @@ def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
     return S, Q
 
 
+@linalg.quiet
 def solve_regulator(p: Plant, exo: Exosystem, sg: ScheduledGains) -> RegulatorSolution:
     """Solve the regulator equations for the scheduled observer.
 
@@ -213,7 +208,7 @@ def solve_regulator(p: Plant, exo: Exosystem, sg: ScheduledGains) -> RegulatorSo
     exosystem's are not, and output injection moves no zeros.
     """
     _check_dims(p, exo, sg)
-    A_inj = p.A + np.outer(sg.K_omega, p.C)
+    A_inj = linalg.fits(p.A + np.outer(sg.K_omega, p.C), "A + K_omega C overflows the double range")
     S, Q = _solve_constrained_sylvester(A_inj, exo.G, p.B, p.C, sg.P_omega)
     return RegulatorSolution(S=S, Q=Q)
 
@@ -291,14 +286,17 @@ class ObserverRealization:
         return self.dim - self.n
 
 
-def _realization(p, G, F1, F2, Q) -> ObserverRealization:
-    """Observer with injection ``F1`` on the state block and ``F2`` on the carrier.
+@linalg.quiet
+def _realization(p, G, F0, S, F2, Q) -> ObserverRealization:
+    """Observer with injection ``F1 = F0 + S F2`` on the state block and ``F2`` on the carrier.
 
     Blockwise: the state-estimate drift is ``A + F1 C`` with ``B Q``
     coupling into the carrier estimate; the carrier drift is G with
     ``-F2 C`` coupling; the measurement enters through ``-F1`` and ``F2``.
+    A drift beyond the double range (as an F1 beyond it leaves) is refused (Overflow).
     """
     n, d = p.n, G.shape[0]
+    F1 = F0 + S @ F2
     A_hat = np.zeros((n + d, n + d))
     A_hat[:n, :n] = p.A + np.outer(F1, p.C)
     A_hat[:n, n:] = np.outer(p.B, Q)
@@ -307,6 +305,7 @@ def _realization(p, G, F1, F2, Q) -> ObserverRealization:
     L_y = np.concatenate([-F1, F2])
     B_u = np.concatenate([p.B, np.zeros(d)])
     d_hat_row = np.concatenate([np.zeros(n), Q])
+    linalg.fits(A_hat, "observer drift overflows the double range")
     return ObserverRealization(n=n, A_hat=A_hat, L_y=L_y, B_u=B_u, d_hat_row=d_hat_row)
 
 
@@ -323,9 +322,10 @@ def assemble_edo(p: Plant, exo: Exosystem, sg: ScheduledGains, rs: RegulatorSolu
             f"regulator solution sized {rs.S.shape} does not fit plant order {p.n} "
             f"and exosystem dimension {exo.dim}"
         )
-    return _realization(p, exo.G, sg.K_omega + rs.S @ exo.E, exo.E, rs.Q)
+    return _realization(p, exo.G, sg.K_omega, rs.S, exo.E, rs.Q)
 
 
+@linalg.quiet
 def assemble_known_dynamics_observer(
     p_general: GeneralPlant,
     G,
@@ -348,7 +348,7 @@ def assemble_known_dynamics_observer(
     n, m = p_general.n, G.shape[0]
     if G.shape != (m, m) or P_row.shape != (m,) or F0.shape != (n,) or F2.shape != (m,):
         raise DimensionMismatch("inconsistent observer design dimensions")
-    A_F0 = p_general.A + np.outer(F0, p_general.C)
+    A_F0 = linalg.fits(p_general.A + np.outer(F0, p_general.C), "A + F0 C overflows the double range")
     eig_closed = linalg.eigenvalues(A_F0)
     eig_G = linalg.eigenvalues(G)
     if min(abs(a - b) for a in eig_closed for b in eig_G) < 1e-9:
@@ -357,10 +357,10 @@ def assemble_known_dynamics_observer(
         raise NotObservablePair("(G, P_row) is not observable")
     if not linalg.is_hurwitz(A_F0):
         raise NonHurwitz("A + F0 C is not Hurwitz")
-    if not linalg.is_hurwitz(G + np.outer(F2, P_row)):
+    if not linalg.is_hurwitz(linalg.fits(G + np.outer(F2, P_row), "G + F2 P_row overflows the double range")):
         raise NonHurwitz("G + F2 P_row is not Hurwitz")
     S, Q = _solve_constrained_sylvester(A_F0, G, p_general.B, p_general.C, P_row)
-    return _realization(p_general, G, F0 + S @ F2, F2, Q)
+    return _realization(p_general, G, F0, S, F2, Q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +371,7 @@ class StabilizerGain:
     F: np.ndarray
 
 
+@linalg.quiet
 def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     """High-gain state feedback placing the closed poles at scaled base roots.
 
@@ -383,10 +384,7 @@ def stabilizer_gain(p: Plant, k_ctrl, omega_c: float) -> StabilizerGain:
     K_c = _power_schedule(k_ctrl, omega_c, p.a)
     _check_hurwitz_base(k_ctrl, "control base")
     U = controllability_canonical_transform(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = K_c @ U
-    if not np.isfinite(F).all():
-        raise Overflow(f"stabilizer gain at bandwidth {float(omega_c):g} overflows the double range")
+    F = linalg.fits(K_c @ U, "stabilizer gain at bandwidth {:g} overflows the double range", float(omega_c))
     return StabilizerGain(omega_c=float(omega_c), F=F)
 
 
@@ -405,6 +403,7 @@ def closed_loop(p: Plant, obs: ObserverRealization, fb: StabilizerGain, rs: Regu
     return M, dist_col
 
 
+@linalg.quiet
 def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: RegulatorSolution):
     """Layout of the closed loop ``u = F_aug z_obs = F x_hat - d_hat``.
 
@@ -416,7 +415,7 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     ``y = r C x`` at ramp value r enters the drift through the column
     ``col_y = [0, L_y]``, so the drift is ``M0 + r U`` with the rank-one
     coupling ``U = col_y [C, 0]``; ``M0`` has the control folded in and
-    ``col_d`` is the disturbance column.
+    ``col_d`` is the disturbance column; an M0 beyond the double range is refused (Overflow).
     """
     n = p.n
     if obs.n != n or (fb is not None and fb.F.shape != (n,)) or rs.Q.shape != (obs.v_dim,):
@@ -429,6 +428,7 @@ def _loop(p: Plant, obs: ObserverRealization, fb: Optional[StabilizerGain], rs: 
     M0[:n, :n] = p.A
     M0[:n, n:] = np.outer(p.B, F_aug)
     M0[n:, n:] = obs.A_hat + np.outer(obs.B_u, F_aug)
+    linalg.fits(M0, "closed-loop drift overflows the double range")
     col_y = np.concatenate([np.zeros(n), obs.L_y])
     U = np.outer(col_y, np.concatenate([p.C, np.zeros(obs.dim)]))
     return M0, U, col_y, np.concatenate([p.B, np.zeros(obs.dim)]), F_aug

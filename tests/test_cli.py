@@ -219,6 +219,51 @@ class TestDesignCommand:
         assert f"synthesis error {message}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "a, p, omega_o, omega_c, sim, message",
+        [
+            (1.7976931348623157e308, -1e300, 3.0, 5.0,
+             {"integrator": "rk4", "dt": 1e-3, "t_end": 0.01, "output_ramp": True},
+             "observer drift overflows the double range"),
+            (0.65, -1e300, 0.1, 1.7976931348623157e308,
+             {"integrator": "euler", "dt": 0.25, "t_end": 1.0, "output_ramp": False},
+             "closed-loop drift overflows the double range"),
+            (-5.361040936259993e307, -1.0, 1.7976931348623157e308, 1.0,
+             {"integrator": "rk4", "dt": 1e-3, "t_end": 0.01, "output_ramp": True},
+             "A + K_omega C overflows the double range"),
+        ],
+        ids=["observer_drift_overflows", "closed_loop_drift_overflows", "state_drift_overflows"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_overflowing_drift_exits_3_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, existing, a, p, omega_o, omega_c, sim, message
+    ):
+        # first-order plants with no carrier: the observer's injection
+        # K_omega + S E, the closed loop's A_hat + B_u F, or the scheduled
+        # a + K_omega leaves the double range; refused at design, so no step is integrated
+        cfg = base_config()
+        cfg["plant"]["a"] = [a]
+        cfg["gains"].update(omega_o=omega_o, omega_c=omega_c, k=[-1.0], p=[p])
+        cfg["disturbance"]["terms"] = [{"type": "constant", "value": 1.0}]
+        cfg["sim"].update(sim, noise_std=0.0)
+        cfg["initial"]["x0"] = [1.0]
+        out = tmp_path / "out"
+        if existing:
+            out.write_bytes(b"earlier output\n")
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and calls == []
+        assert err.splitlines() == [f"synthesis error (Overflow): {message}"]
+        if existing:
+            assert out.read_bytes() == b"earlier output\n"
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["design", "simulate"])
     def test_underflowing_spectrum_exits_3(self, tmp_path, capsys, monkeypatch, command):
         # fig3 with its carrier moved to +-1e-200j: the pair's product

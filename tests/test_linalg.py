@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,3 +144,47 @@ class TestExpm:
         with pytest.raises(NonSquare):
             linalg.eigenvalues(np.zeros((2, 3, 3)))
 
+
+
+class TestOverflowRule:
+    def test_one_home_for_the_error_state(self):
+        # every builder runs under linalg.quiet and refuses through linalg.fits
+        found = [
+            f"{path.name}:{number}"
+            for path in sorted(Path(linalg.__file__).parent.glob("*.py"))
+            if path.name != "linalg.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "np.errstate(" in line
+        ]
+        assert found == []
+
+    def test_message_is_built_only_on_refusal(self):
+        class Unprintable:
+            def __format__(self, spec):
+                raise AssertionError("formatted on a passing check")
+
+        M = np.array([[1e308, -1e308]])
+        assert linalg.fits(M, "{}", Unprintable()) is M
+        with pytest.raises(Overflow, match=r"\Aentry 2 of 3 \(1e\+308\) overflows\Z"):
+            linalg.fits(np.array([1.0, np.nan, -np.inf]), "entry {} of {} ({:g}) overflows", 2, 3, 1e308)
+
+    def test_quiet_nests_and_restores(self):
+        @linalg.quiet
+        def inner():
+            return np.float64(1e308) * 10.0
+
+        @linalg.quiet
+        def outer():
+            return inner() - inner()
+
+        @linalg.quiet
+        def refused():
+            raise ValueError("left by an exception")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(outer())
+            with pytest.raises(ValueError):
+                refused()
+            with pytest.raises(RuntimeWarning):
+                np.float64(1e308) * 10.0

@@ -32,6 +32,7 @@ from edo.errors import (
     NonHurwitzBase,
     NotDiagonalizable,
     NotObservablePair,
+    Overflow,
     SingularSystem,
     SpectraOverlap,
 )
@@ -262,6 +263,28 @@ def spectral_solve(b=(1.0, 0.0), K_omega=(-102.0, -21.0), P_omega=(-10.0,)):
     return solve_regulator_spectral(p, exosystem_from_spectrum([]), sg)
 
 
+def huge_base_design(a, omega_o):
+    """First-order design on base ``k = (-1,)``, ``p = (-1e300,)`` with no carrier: the
+    plant coefficient ``a`` or a bandwidth can push a later builder beyond the double range."""
+    p = canonical_plant([a])
+    exo = exosystem_from_spectrum([])
+    sg = schedule_gains(p, exo, GainBase(k=(-1.0,), p=(-1e300,)), omega_o)
+    return p, exo, sg, solve_regulator(p, exo, sg)
+
+
+def huge_closed_loop():
+    """``closed_loop`` of a finite observer and a finite stabilizer at the largest bandwidth,
+    whose sum ``A_hat + B_u F`` leaves the double range."""
+    p, exo, sg, rs = huge_base_design(0.65, 0.1)
+    return closed_loop(p, assemble_edo(p, exo, sg, rs), stabilizer_gain(p, (-1.0,), 1.7976931348623157e308), rs)
+
+
+def huge_state_drift():
+    """Plant, exosystem and gains at the largest bandwidth on a plant coefficient near it."""
+    p, exo = canonical_plant([-5.361040936259993e307]), exosystem_from_spectrum([])
+    return p, exo, schedule_gains(p, exo, GainBase(k=(-1.0,), p=(-1.0,)), 1.7976931348623157e308)
+
+
 #: Library refusals of this module: (call, exception, what the message says).
 REFUSALS = {
     "empty_base_k": (lambda: GainBase(k=(), p=(-1.0,)), DimensionMismatch, "must be non-empty"),
@@ -296,6 +319,19 @@ REFUSALS = {
                                    "transmission zero at exosystem eigenvalue"),
     # a complex output row leaves a Q that no real design has
     "spectral_complex_residue": (lambda: spectral_solve(P_omega=(1j,)), SingularSystem, "complex residue"),
+    # each refused by one finiteness check, with no floating-point warning first
+    "assemble_edo_injection_overflows": (lambda: assemble_edo(*huge_base_design(1.7976931348623157e308, 3.0)),
+                                         Overflow, "observer drift overflows the double range"),
+    "closed_loop_drift_overflows": (huge_closed_loop, Overflow, "closed-loop drift overflows the double range"),
+    # K_omega = k omega - a rounds so that a + K_omega does not fit
+    "solve_regulator_state_drift_overflows": (lambda: solve_regulator(*huge_state_drift()), Overflow,
+                                              r"A \+ K_omega C overflows the double range"),
+    "known_dynamics_state_block_overflows": (
+        lambda: assemble_known_dynamics_observer(GeneralPlant([[1e308]], [1.0], [1.0]), [[0.0]], [1.0], [1e308], [-1.0]),
+        Overflow, r"A \+ F0 C overflows the double range"),
+    "known_dynamics_carrier_block_overflows": (
+        lambda: assemble_known_dynamics_observer(GeneralPlant([[-1.0]], [1.0], [1.0]), [[1e308]], [1.0], [-1.0], [1e308]),
+        Overflow, r"G \+ F2 P_row overflows the double range"),
 }
 
 
