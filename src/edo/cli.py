@@ -307,9 +307,9 @@ def design_report(design: Design) -> dict:
             "d_hat_row": obs.d_hat_row.tolist(),
         },
         "spectra": {
-            "observer_state": _spectrum_pairs(p.A + np.outer(sg.K_omega, p.C)),
-            "observer_carrier": _spectrum_pairs(exo.G + np.outer(exo.E, sg.P_omega)),
-            "state_feedback": _spectrum_pairs(p.A + np.outer(p.B, fb.F)),
+            "observer_state": _spectrum_pairs(linalg.plus_outer(p.A, sg.K_omega, p.C, "A + K_omega C")),
+            "observer_carrier": _spectrum_pairs(linalg.plus_outer(exo.G, exo.E, sg.P_omega, "G + E P_omega")),
+            "state_feedback": _spectrum_pairs(linalg.plus_outer(p.A, p.B, fb.F, "A + B F")),
             "closed_loop": _spectrum_pairs(M_cl),
         },
         "closed_loop": {"drift": M_cl.tolist(), "disturbance_column": dist_col.tolist()},

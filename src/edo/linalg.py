@@ -29,10 +29,14 @@ __all__ = [
     "echo",
     "quiet",
     "fits",
+    "plus_outer",
 ]
 
 #: Margin on the real axis for Hurwitz classification.
 HURWITZ_TOL = 1e-9
+
+#: Two eigenvalues meet when closer than this; absolute until ROADMAP item 5 audits it.
+MEET_TOL = 1e-9
 
 #: The error state of every builder, as a decorator (one instance nests as that, not in ``with``):
 #: a result beyond the double range is refused by ``fits``, not warned about on the way.
@@ -118,6 +122,13 @@ def fits(value, message: str, *args):
     if np.isfinite(value).all():
         return value
     raise Overflow(message.format(*(echo(a) if isinstance(a, list) else a for a in args)))
+
+
+@quiet
+def plus_outer(M, col, row, name: str) -> np.ndarray:
+    """``M + col row``, a designed drift such as ``A + K_omega C``; refuses one
+    beyond the double range (Overflow) as "``name`` overflows the double range"."""
+    return fits(M + np.outer(col, row), "{} overflows the double range", name)
 
 
 def _finite(values, convert, what: str) -> tuple:

@@ -168,7 +168,7 @@ def is_observable_for_omega(p: GeneralPlant, spectrum_of_G) -> bool:
     spectrum = linalg.finite_complexes(spectrum_of_G, "spectrum_of_G")
     eigs_A = linalg.eigenvalues(p.A)
     for lam in spectrum:
-        if np.abs(eigs_A - lam).min() < 1e-9:
+        if np.abs(eigs_A - lam).min() < linalg.MEET_TOL:
             raise SpectraOverlap(f"exosystem eigenvalue {lam} lies in the plant spectrum")
     if not _full_rank(observability_matrix(p.A, p.C)):
         return False

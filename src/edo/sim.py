@@ -383,7 +383,7 @@ def high_gain_probe(base: GainBase, p: Plant, omegas, t_grid):
     table = []
     for w in map(_bandwidth, omegas):
         # exp(w t) commutes into the exponential of A_w = A + K_w C, avoiding tiny*huge overflow
-        shifted = p.A + np.outer(_power_schedule(base.k, w, p.a), p.C) + w * np.eye(p.n)
+        shifted = linalg.plus_outer(p.A, _power_schedule(base.k, w, p.a), p.C, "A + K_omega C") + w * np.eye(p.n)
         E = linalg.expm(shifted * t_grid[:, None, None])
         table.append((w, float(max(np.linalg.norm(e @ p.B) for e in E))))
     return table

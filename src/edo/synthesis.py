@@ -198,7 +198,6 @@ def _solve_constrained_sylvester(A_inj, G, B, C, P_row):
     return S, Q
 
 
-@linalg.quiet
 def solve_regulator(p: Plant, exo: Exosystem, sg: ScheduledGains) -> RegulatorSolution:
     """Solve the regulator equations for the scheduled observer.
 
@@ -208,7 +207,7 @@ def solve_regulator(p: Plant, exo: Exosystem, sg: ScheduledGains) -> RegulatorSo
     exosystem's are not, and output injection moves no zeros.
     """
     _check_dims(p, exo, sg)
-    A_inj = linalg.fits(p.A + np.outer(sg.K_omega, p.C), "A + K_omega C overflows the double range")
+    A_inj = linalg.plus_outer(p.A, sg.K_omega, p.C, "A + K_omega C")
     S, Q = _solve_constrained_sylvester(A_inj, exo.G, p.B, p.C, sg.P_omega)
     return RegulatorSolution(S=S, Q=Q)
 
@@ -227,9 +226,9 @@ def solve_regulator_spectral(p: Plant, exo: Exosystem, sg: ScheduledGains) -> Re
     d = G.shape[0]
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(lams[i] - lams[j]) <= 1e-9:
+            if abs(lams[i] - lams[j]) < linalg.MEET_TOL:
                 raise NotDiagonalizable(f"repeated exosystem eigenvalue {lams[i]:.3g}")
-    A_inj = p.A + np.outer(sg.K_omega, p.C)
+    A_inj = linalg.plus_outer(p.A, sg.K_omega, p.C, "A + K_omega C")
     n = p.n
     S_cols = np.empty((n, d), dtype=complex)
     q = np.empty(d, dtype=complex)
@@ -348,16 +347,16 @@ def assemble_known_dynamics_observer(
     n, m = p_general.n, G.shape[0]
     if G.shape != (m, m) or P_row.shape != (m,) or F0.shape != (n,) or F2.shape != (m,):
         raise DimensionMismatch("inconsistent observer design dimensions")
-    A_F0 = linalg.fits(p_general.A + np.outer(F0, p_general.C), "A + F0 C overflows the double range")
+    A_F0 = linalg.plus_outer(p_general.A, F0, p_general.C, "A + F0 C")
     eig_closed = linalg.eigenvalues(A_F0)
     eig_G = linalg.eigenvalues(G)
-    if min(abs(a - b) for a in eig_closed for b in eig_G) < 1e-9:
+    if min(abs(a - b) for a in eig_closed for b in eig_G) < linalg.MEET_TOL:
         raise SpectraOverlap("spectrum of A + F0 C meets the disturbance dynamics spectrum")
     if not _full_rank(observability_matrix(G, P_row)):
         raise NotObservablePair("(G, P_row) is not observable")
     if not linalg.is_hurwitz(A_F0):
         raise NonHurwitz("A + F0 C is not Hurwitz")
-    if not linalg.is_hurwitz(linalg.fits(G + np.outer(F2, P_row), "G + F2 P_row overflows the double range")):
+    if not linalg.is_hurwitz(linalg.plus_outer(G, F2, P_row, "G + F2 P_row")):
         raise NonHurwitz("G + F2 P_row is not Hurwitz")
     S, Q = _solve_constrained_sylvester(A_F0, G, p_general.B, p_general.C, P_row)
     return _realization(p_general, G, F0, S, F2, Q)

@@ -264,6 +264,34 @@ class TestDesignCommand:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    def test_overflowing_state_feedback_spectrum(self, tmp_path, capsys, existing):
+        # omega_c at the largest double on a plant coefficient near it: F fits,
+        # but a + F does not; only the report forms A + B F, so edo design refuses
+        # it and edo simulate runs until the divergence guard trips
+        cfg = base_config()
+        cfg["plant"]["a"] = [-5.361040936259993e307]
+        cfg["gains"].update(omega_o=1.0, omega_c=1.7976931348623157e308, k=[-1.0], p=[-1.0])
+        cfg["disturbance"]["terms"] = [{"type": "constant", "value": 1.0}]
+        cfg["sim"].update(t_end=0.01, noise_std=0.0)
+        cfg["initial"]["x0"] = [1.0]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        if existing:
+            out.write_bytes(b"earlier output\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["design", "--config", path, "--out", str(out)])
+            assert (rc, capsys.readouterr().err.splitlines()) == (
+                3, ["synthesis error (Overflow): A + B F overflows the double range"]
+            )
+            if existing:
+                assert out.read_bytes() == b"earlier output\n"
+            else:
+                assert not out.exists()
+            rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "run.csv")])
+            assert (rc, capsys.readouterr().err) == (4, "divergence: state magnitude exceeded 1e+12 at t=0.001\n")
+
     @pytest.mark.parametrize("command", ["design", "simulate"])
     def test_underflowing_spectrum_exits_3(self, tmp_path, capsys, monkeypatch, command):
         # fig3 with its carrier moved to +-1e-200j: the pair's product

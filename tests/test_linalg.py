@@ -1,3 +1,4 @@
+import ast
 import warnings
 from pathlib import Path
 
@@ -156,6 +157,21 @@ class TestOverflowRule:
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if "np.errstate(" in line
         ]
+        assert found == []
+
+    def test_one_builder_for_a_designed_drift(self):
+        # M + col row is formed by linalg.plus_outer, except in the two builders
+        # that check their whole matrix, other blocks included
+        allowed = {("linalg.py", "plus_outer"), ("synthesis.py", "_realization"), ("synthesis.py", "_loop")}
+        found = []
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            defs = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+            for number, line in enumerate(source.splitlines(), 1):
+                if "+ np.outer(" in line:
+                    within = {(path.name, d.name) for d in defs if d.lineno <= number <= d.end_lineno}
+                    if not within & allowed:
+                        found.append(f"{path.name}:{number}")
         assert found == []
 
     def test_message_is_built_only_on_refusal(self):

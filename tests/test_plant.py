@@ -11,7 +11,7 @@ from edo import (
     transmission_zero_holds,
 )
 from edo.errors import EmptyCoefficients, NotControllable, Overflow, SpectraOverlap
-from edo.linalg import companion_from_last_row
+from edo.linalg import MEET_TOL, companion_from_last_row
 from edo.plant import controllability_matrix
 
 
@@ -169,6 +169,12 @@ class TestObservableForOmega:
     def test_overlap_rejected(self):
         with pytest.raises(SpectraOverlap):
             is_observable_for_omega(double_integrator_example(), [0.0])
+
+    def test_overlap_is_closer_than_the_meet_tolerance(self):
+        # the plant's eigenvalues are exactly 0, so the distance is the imaginary part
+        with pytest.raises(SpectraOverlap):
+            is_observable_for_omega(double_integrator_example(), [1j * np.nextafter(MEET_TOL, 0.0)])
+        assert is_observable_for_omega(double_integrator_example(), [1j * MEET_TOL]) is True
 
 
 class TestCanonicalTransform:

@@ -326,6 +326,11 @@ REFUSALS = {
     # K_omega = k omega - a rounds so that a + K_omega does not fit
     "solve_regulator_state_drift_overflows": (lambda: solve_regulator(*huge_state_drift()), Overflow,
                                               r"A \+ K_omega C overflows the double range"),
+    "solve_regulator_spectral_state_drift_overflows": (lambda: solve_regulator_spectral(*huge_state_drift()), Overflow,
+                                                       r"A \+ K_omega C overflows the double range"),
+    "high_gain_probe_state_drift_overflows": (
+        lambda: high_gain_probe(GainBase(k=(-1.0,), p=(-1.0,)), huge_state_drift()[0], [1.7976931348623157e308], [1.0]),
+        Overflow, r"A \+ K_omega C overflows the double range"),
     "known_dynamics_state_block_overflows": (
         lambda: assemble_known_dynamics_observer(GeneralPlant([[1e308]], [1.0], [1.0]), [[0.0]], [1.0], [1e308], [-1.0]),
         Overflow, r"A \+ F0 C overflows the double range"),
